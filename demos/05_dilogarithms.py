@@ -34,8 +34,9 @@ for _ in range(400):
     worst5 = max(worst5, five_term_residual(x, y))
     xx = mp.mpc(x)
     if xx != 0:
-        worstr = max(worstr, abs(bloch_wigner(xx) + bloch_wigner(1 - xx)))
-        worsti = max(worsti, abs(bloch_wigner(xx) + bloch_wigner(1 / xx)))
+        d = bloch_wigner(xx)
+        worstr = max(worstr, abs(d + bloch_wigner(1 - xx)))
+        worsti = max(worsti, abs(d + bloch_wigner(1 / xx)))
 print("  five-term |D(x)+D(1-xy)+D(y)+D((1-y)/(1-xy))+D((1-x)/(1-xy))| <=", mp.nstr(worst5, 3))
 print("  reflection |D(x)+D(1-x)| <=", mp.nstr(worstr, 3))
 print("  inversion  |D(x)+D(1/x)| <=", mp.nstr(worsti, 3))

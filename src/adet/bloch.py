@@ -1,11 +1,13 @@
 """High-precision dilogarithms and the torsion criterion.
 
 li2 is the principal-branch dilogarithm Li_2(z) = -int_0^z log(1-t)/t dt,
-evaluated by the standard scheme: power series for |z| <= 1/2, the inversion
-and reflection identities to move distant arguments, and a Bernoulli series
-in u = -log(1-z) near the unit circle.  On the cut [1, oo) the limit from the
-lower half-plane is used; with arg(1-x) = pi for x > 1 this is exactly the
-convention making the Bloch-Wigner function vanish on the real line.
+evaluated by one Bernoulli series in u = -log(1-w) (Zagier, "The dilogarithm
+function", 2007) at a reduced argument w: w = z for |z| <= 1/2 and near the
+unit circle, w = 1/z (inversion) for |z| >= 2, w = 1-z (reflection) for
+|1-z| <= 1/2.  The series coefficients are cached per working precision.  On
+the cut [1, oo) the limit from the lower half-plane is used; with
+arg(1-x) = pi for x > 1 this is exactly the convention making the
+Bloch-Wigner function vanish on the real line.
 
 D(z) = Im Li_2(z) + log|z| * arg(1-z) is single-valued, real-analytic off
 {0, 1}, and satisfies D(conj z) = -D(z), the two-term relations
@@ -39,39 +41,53 @@ __all__ = [
 TORSION_TOLERANCE = 1e-18
 
 _MAX_TERMS = 4096
+# Fraction bits the fixed-point series carries beyond the working precision;
+# they absorb the truncation error of a few hundred terms.
+_FIXED_GUARD = 24
+
+# Working precision -> [B_k (2 pi)^(k+1) / (k+1)! for k = 2, 4, 6, ...] as
+# integers scaled by 2^(precision + _FIXED_GUARD).  A list is extended by
+# storing a longer copy, never in place, so concurrent callers cannot
+# interleave appends.
+_BERNOULLI_COEFFS: dict[int, list[int]] = {}
 
 
-def _li2_series(z):
-    """Direct power series sum z^n / n^2, for |z| <= 1/2."""
-    eps = mp.mpf(2) ** (-mp.mp.prec - 8)
-    total = mp.mpf(0) if mp.im(z) == 0 and isinstance(z, mp.mpf) else mp.mpc(0)
-    zn = z
-    for n in range(1, _MAX_TERMS):
-        term = zn / (n * n)
-        total += term
-        if abs(term) < eps:
+def _bernoulli_coeff(k: int, wp: int) -> int:
+    with mp.workprec(wp + 16):
+        return int(mp.ldexp(mp.bernoulli(k) * (2 * mp.pi) ** (k + 1) / mp.factorial(k + 1), wp))
+
+
+def _li2_bernoulli(w):
+    """Li_2(w) = u - u^2/4 + sum_{k even >= 2} B_k u^(k+1) / (k+1)!, u = -log(1-w).
+
+    The series converges for |u| < 2 pi; the regions of _li2_any keep |u|
+    below 3.33, and at most log 2 where the argument is reduced to |w| <= 1/2.
+    The sum over k runs in fixed point on v = u / (2 pi), whose powers shrink,
+    against the coefficients B_k (2 pi)^(k+1) / (k+1)!, which are O(1/k).
+    """
+    prec = mp.mp.prec
+    wp = prec + _FIXED_GUARD
+    coeffs = _BERNOULLI_COEFFS.get(prec, [])
+    eps2 = 1 << 2 * (_FIXED_GUARD - 8)  # (2^-(prec + 8))^2, scaled by 2^(2 wp)
+    u = -mp.log(1 - w)
+    v = u / (2 * mp.pi)
+    vr, vi = int(mp.ldexp(v.real, wp)), int(mp.ldexp(v.imag, wp))
+    v2r, v2i = (vr * vr - vi * vi) >> wp, (2 * vr * vi) >> wp
+    qr, qi = (v2r * vr - v2i * vi) >> wp, (v2r * vi + v2i * vr) >> wp  # q = v^(k+1)
+    sr = si = 0
+    for i in range(_MAX_TERMS):
+        if i == len(coeffs):
+            coeffs = _BERNOULLI_COEFFS[prec] = coeffs + [_bernoulli_coeff(2 * i + 2, wp)]
+        tr, ti = (coeffs[i] * qr) >> wp, (coeffs[i] * qi) >> wp
+        sr += tr
+        si += ti
+        if tr * tr + ti * ti < eps2:
             break
-        zn *= z
-    return total
-
-
-def _li2_bernoulli(u):
-    """Debye-type series Li_2(1 - e^{-u}) = sum_k B_k u^{k+1} / (k+1)!."""
-    eps = mp.mpf(2) ** (-mp.mp.prec - 8)
-    total = u * 0
-    upow = u
-    fact = 1
-    for k in range(_MAX_TERMS):
-        # term for index k: B_k * u^(k+1) / (k+1)!
-        fact *= k + 1
-        bk = mp.bernoulli(k)
-        if bk:
-            term = bk * upow / fact
-            total += term
-            if k > 2 and abs(term) < eps:
-                break
-        upow *= u
-    return total
+        qr, qi = (qr * v2r - qi * v2i) >> wp, (qr * v2i + qi * v2r) >> wp
+    head = u - u * u / 4
+    if isinstance(u, mp.mpf):
+        return head + mp.ldexp(sr, -wp)
+    return head + mp.mpc(mp.ldexp(sr, -wp), mp.ldexp(si, -wp))
 
 
 def _li2_any(z):
@@ -82,14 +98,14 @@ def _li2_any(z):
         return mp.pi ** 2 / 6
     a = abs(z)
     if a <= mp.mpf("0.5"):
-        return _li2_series(z)
+        return _li2_bernoulli(z)
     if a >= 2:
         # Li2(z) + Li2(1/z) = -pi^2/6 - log(-z)^2 / 2, principal branch
-        return -_li2_series(1 / z) - mp.pi ** 2 / 6 - mp.log(-z) ** 2 / 2
+        return -_li2_bernoulli(1 / z) - mp.pi ** 2 / 6 - mp.log(-z) ** 2 / 2
     if abs(1 - z) <= mp.mpf("0.5"):
         # Li2(z) + Li2(1-z) = pi^2/6 - log(z) log(1-z)
-        return mp.pi ** 2 / 6 - mp.log(z) * mp.log(1 - z) - _li2_series(1 - z)
-    return _li2_bernoulli(-mp.log(1 - z))
+        return mp.pi ** 2 / 6 - mp.log(z) * mp.log(1 - z) - _li2_bernoulli(1 - z)
+    return _li2_bernoulli(z)
 
 
 def li2(z, ctx: PrecisionContext = DEFAULT_CONTEXT):
@@ -120,8 +136,9 @@ def bloch_wigner(z, ctx: PrecisionContext = DEFAULT_CONTEXT):
     zz = to_mpc(z)
     if mp.im(zz) == 0:
         return mp.mpf(0)
-    with mp.workprec(ctx.mantissa_bits + GUARD_BITS):
-        return mp.im(li2(zz, ctx)) + mp.log(abs(zz)) * mp.arg(1 - zz)
+    im_li2 = mp.im(li2(zz, ctx))
+    with ctx.workprec():
+        return im_li2 + mp.log(abs(zz)) * mp.arg(1 - zz)
 
 
 def five_term_residual(x, y, ctx: PrecisionContext = DEFAULT_CONTEXT):

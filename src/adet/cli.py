@@ -6,6 +6,7 @@ Every subcommand accepts --json PATH to dump the structured report.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from fractions import Fraction
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import bloch, qseries, solver, verify, ysystem
 from .dynkin import nahm_matrix, pair_indexing, parse_diagram
-from .errors import AdetError
+from .errors import AdetError, NonIntegralExponent
 from .precision import PrecisionContext
 from .report import CheckRecord, VerificationReport
 
@@ -32,12 +33,46 @@ def _pair_arg(text: str):
         raise argparse.ArgumentTypeError(f"bad pair {text!r}: {exc}") from exc
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
+
+
+def _precision_bits(text: str) -> int:
+    bits = int(text)
+    try:
+        PrecisionContext(mantissa_bits=bits)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return bits
+
+
+def _json_arg(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise argparse.ArgumentTypeError(f"bad JSON {text!r}: {exc}") from exc
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argument as one line, like the errors raised by commands."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _add_global_flags(parser, suppress=False):
     # registered on the main parser and again on every subcommand so the
     # flags are accepted in either position; SUPPRESS keeps subcommand
     # defaults from clobbering values parsed before the subcommand name
     kw = {"default": argparse.SUPPRESS} if suppress else {}
-    parser.add_argument("--precision-bits", type=int, help="mantissa bits (default 128)",
+    parser.add_argument("--precision-bits", type=_precision_bits, help="mantissa bits (default 128)",
                         **({"default": 128} if not suppress else kw))
     parser.add_argument("--tol-scale", type=float,
                         help="multiplies every default tolerance",
@@ -49,7 +84,7 @@ def _add_global_flags(parser, suppress=False):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="adet",
         description="Nahm-equation / Y-system / dilogarithm verification toolkit "
                     "for ADET Dynkin diagram pairs.",
@@ -63,29 +98,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve the Nahm equation for a pair")
     p.add_argument("--pair", type=_pair_arg, required=True, metavar="X,X'")
     p.add_argument("--all", action="store_true", help="multistart enumeration instead of the positive solution")
-    p.add_argument("--starts", type=int, default=2000)
+    p.add_argument("--starts", type=_positive_int, default=2000)
 
     p = sub.add_parser("verify", help="run one verification family")
     p.add_argument("what", choices=["periodicity", "wedge", "dilogsum", "torsion", "fiveterm"])
     p.add_argument("--pair", type=_pair_arg, metavar="X,X'")
-    p.add_argument("--points", type=int, default=None, help="sample count (default per check)")
-    p.add_argument("--seeds", type=int, default=20, help="random seeds for periodicity")
-    p.add_argument("--starts", type=int, default=2000, help="multistart budget for torsion")
+    p.add_argument("--points", type=_positive_int, default=None, help="sample count (default per check)")
+    p.add_argument("--seeds", type=_positive_int, default=20, help="random seeds for periodicity")
+    p.add_argument("--starts", type=_positive_int, default=2000, help="multistart budget for torsion")
 
     p = sub.add_parser("qseries", help="sum-side vs product-side series identities")
     p.add_argument("what", choices=["rr", "ag", "custom"])
-    p.add_argument("--N", type=int, default=None, help="truncation order")
-    p.add_argument("--matrix", help="custom: JSON matrix, e.g. [[2,2],[2,4]]")
-    p.add_argument("--b", help="custom: JSON vector, e.g. [0,0]")
-    p.add_argument("--c", default="0", help="custom: prefactor exponent p/q")
-    p.add_argument("--residues", help="custom: product residues, e.g. 1,2,5,6")
-    p.add_argument("--modulus", type=int, help="custom: product modulus")
+    p.add_argument("--N", type=_positive_int, default=None, help="truncation order")
+    p.add_argument("--matrix", type=_json_arg, help="custom: JSON matrix, e.g. [[2,2],[2,4]]")
+    p.add_argument("--b", type=_json_arg, help="custom: JSON vector, e.g. [0,0]")
+    p.add_argument("--c", type=Fraction, default="0", help="custom: prefactor exponent p/q")
+    p.add_argument("--residues", type=_int_list, help="custom: product residues, e.g. 1,2,5,6")
+    p.add_argument("--modulus", type=_positive_int, help="custom: product modulus")
 
     p = sub.add_parser("report", help="aggregate the full verification suite for one pair")
     p.add_argument("--pair", type=_pair_arg, required=True, metavar="X,X'")
-    p.add_argument("--starts", type=int, default=2000)
-    p.add_argument("--points", type=int, default=10)
-    p.add_argument("--seeds", type=int, default=10)
+    p.add_argument("--starts", type=_positive_int, default=2000)
+    p.add_argument("--points", type=_positive_int, default=10)
+    p.add_argument("--seeds", type=_positive_int, default=10)
 
     for sp in sub.choices.values():
         _add_global_flags(sp, suppress=True)
@@ -94,6 +129,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _ctx(args) -> PrecisionContext:
     return PrecisionContext(mantissa_bits=args.precision_bits)
+
+
+def _solve_all(args, ctx):
+    """solve_all over --pair with the --starts/--seed budget."""
+    budget = solver.SearchBudget(starts=args.starts, seed=args.seed)
+    if args.pair.n > budget.rank_cap:
+        raise argparse.ArgumentTypeError(
+            f"--pair {args.pair.label}: size {args.pair.n} exceeds the multistart search cap "
+            f"{budget.rank_cap}")
+    return solver.solve_all(args.pair, budget, ctx)
 
 
 def _sample_points(pair, count, rng, noise=0.1):
@@ -123,7 +168,7 @@ def _cmd_solve(args) -> VerificationReport:
     tol = ctx.tau_res * args.tol_scale
     t0 = time.perf_counter()
     if args.all:
-        sols = solver.solve_all(args.pair, solver.SearchBudget(starts=args.starts, seed=args.seed), ctx)
+        sols = _solve_all(args, ctx)
         records = tuple(
             CheckRecord.make(f"constant Y-system residual, solution {i}", s.residual, tol)
             for i, s in enumerate(sols.solutions)
@@ -173,7 +218,7 @@ def _verify_dilogsum(args, ctx, rng) -> tuple[tuple, dict]:
 
 def _verify_torsion(args, ctx, rng) -> tuple[tuple, dict]:
     pair = args.pair
-    sols = solver.solve_all(pair, solver.SearchBudget(starts=args.starts, seed=args.seed), ctx)
+    sols = _solve_all(args, ctx)
     rep = bloch.torsion_check(sols, ctx, tolerance=bloch.TORSION_TOLERANCE * args.tol_scale)
     return rep.records, {"pair": pair.label, "solutions": len(sols.solutions), "starts": args.starts}
 
@@ -192,10 +237,9 @@ def _verify_fiveterm(args, ctx, rng) -> tuple[tuple, dict]:
             worst_five = max(worst_five, bloch.five_term_residual(x, y, ctx))
             if x != 0:
                 xx = mp.mpc(x)  # derived arguments at working precision
-                worst_refl = max(worst_refl,
-                                 abs(bloch.bloch_wigner(xx, ctx) + bloch.bloch_wigner(1 - xx, ctx)))
-                worst_inv = max(worst_inv,
-                                abs(bloch.bloch_wigner(xx, ctx) + bloch.bloch_wigner(1 / xx, ctx)))
+                d = bloch.bloch_wigner(xx, ctx)
+                worst_refl = max(worst_refl, abs(d + bloch.bloch_wigner(1 - xx, ctx)))
+                worst_inv = max(worst_inv, abs(d + bloch.bloch_wigner(1 / xx, ctx)))
     records = (
         CheckRecord.make("five-term relation, max residual", worst_five, tol),
         CheckRecord.make("reflection D(x)+D(1-x), max residual", worst_refl, tol),
@@ -229,8 +273,6 @@ def _qseries_pair(a, b, c, residues, modulus, order):
 
 
 def _cmd_qseries(args) -> VerificationReport:
-    import json as _json
-
     t0 = time.perf_counter()
     if args.what == "rr":
         order = args.N or 200
@@ -251,16 +293,25 @@ def _cmd_qseries(args) -> VerificationReport:
         order = args.N or 100
         if not args.matrix:
             raise argparse.ArgumentTypeError("qseries custom requires --matrix")
-        a = _json.loads(args.matrix)
-        b = _json.loads(args.b) if args.b else [0] * len(a)
-        c = Fraction(args.c)
-        series = qseries.f_abc(a, b, c, order)
+        a = args.matrix
+        try:
+            b = args.b if args.b else [0] * len(a)
+            series = qseries.f_abc(a, b, args.c, order)
+        except NonIntegralExponent:
+            raise
+        except (TypeError, ValueError) as exc:  # A, B not an r x r positive-definite matrix and an r-vector
+            raise argparse.ArgumentTypeError(f"--matrix {json.dumps(a)}: {exc}") from exc
         print(series.head(12))
         meta = {"order": order, "series": series.to_json_obj()}
         records = ()
         if args.residues and args.modulus:
-            residues = tuple(int(v) for v in args.residues.split(","))
-            rep = _qseries_pair(a, b, c, residues, args.modulus, order)
+            try:
+                product = qseries.eta_like_product(args.residues, args.modulus, order,
+                                                   prefactor_exp=args.c)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(
+                    f"--residues {','.join(map(str, args.residues))}: {exc}") from exc
+            rep = qseries.compare_series(series, product)
             records = rep.records
             meta.update(rep.metadata)
     return VerificationReport(f"qseries {args.what}", meta, records, args.seed, 0,
@@ -283,7 +334,7 @@ def _cmd_report(args) -> VerificationReport:
     records.append(CheckRecord.make(f"central-charge probe vs {probe.rational}", probe.error,
                                     1e-20 * args.tol_scale))
 
-    sols = solver.solve_all(pair, solver.SearchBudget(starts=args.starts, seed=args.seed), ctx)
+    sols = _solve_all(args, ctx)
     meta["solutions_found"] = len(sols.solutions)
     records.extend(bloch.torsion_check(sols, ctx,
                                        tolerance=bloch.TORSION_TOLERANCE * args.tol_scale).records)

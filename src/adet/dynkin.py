@@ -137,9 +137,6 @@ class RationalMatrix:
             ]
         )
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix([[self.entries[j][i] for j in range(self.rows)] for i in range(self.cols)])
-
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
             self.entries[i][j] == self.entries[j][i] for i in range(self.rows) for j in range(i)

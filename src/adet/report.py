@@ -81,11 +81,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(r.passed for r in self.records)
 
-    def worst(self) -> CheckRecord | None:
-        if not self.records:
-            return None
-        return max(self.records, key=lambda r: r.residual / r.tolerance if r.tolerance else float("inf"))
-
     def to_json_obj(self) -> dict:
         return {
             "command": self.command,

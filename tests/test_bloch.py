@@ -1,3 +1,5 @@
+import cmath
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -7,6 +9,7 @@ import pytest
 import adet
 from adet import (
     BlochElement,
+    PrecisionContext,
     bloch_wigner,
     central_charge_probe,
     five_term_residual,
@@ -15,6 +18,7 @@ from adet import (
     torsion_check,
     xi_D,
 )
+from adet import bloch
 from adet.errors import DegenerateInput
 
 from conftest import ACCEPT_PAIRS, pair
@@ -60,6 +64,41 @@ def test_li2_against_mpmath_polylog(ctx128):
     with mp.workprec(200):
         for z in pts:
             assert abs(li2(z, ctx128) - mp.polylog(2, mp.mpc(z))) < 1e-30, z
+
+
+# Each li2 region boundary, the singular and symmetric points, both sides of
+# the cut, extreme magnitudes and the real arguments rogers_L and the
+# inversion of negative reals take.
+KERNEL_POINTS = (
+    [cmath.rect(0.5, t) for t in (0.0, 1.1, 2.0, math.pi)]          # |z| = 1/2
+    + [cmath.rect(2.0, t) for t in (0.7, math.pi / 2, -2.5, math.pi)]  # |z| = 2
+    + [1 - cmath.rect(0.5, t) for t in (1.0, -2.2, math.pi / 2)]  # |1 - z| = 1/2
+    + [1 + 1e-10 + 1e-10j, 1 - 1e-12j, 0.999999 + 1e-8j]           # near z = 1
+    + [cmath.rect(1, s * math.pi / 3) + d for s in (1, -1) for d in (0, 1e-9j)]
+    + [3 + 1e-25j, 3 - 1e-25j, 1.2 + 1e-20j, 1.2 - 1e-20j]          # around the cut
+    + [1e-30, 1e-30j, 1e12j, 1e12 * (1 + 1j), -1e12]               # tiny and huge
+    + [-5.0, -1.5, -1.0000001, 0.6, 0.75, 0.99]                     # real x < -1, x in (1/2, 1)
+)
+KERNEL_TOL = {128: 1e-30, 256: 1e-70}
+
+
+def _check_against_polylog(points, bits):
+    ctx = PrecisionContext(mantissa_bits=bits)
+    with mp.workprec(bits + 64):
+        for z in points:
+            assert abs(li2(z, ctx) - mp.polylog(2, mp.mpmathify(z))) < KERNEL_TOL[bits], (bits, z)
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_li2_kernel_edge_points(bits):
+    _check_against_polylog(KERNEL_POINTS, bits)
+
+
+def test_li2_coefficient_cache_per_precision(monkeypatch):
+    # coefficients built at one precision must never serve another
+    monkeypatch.setattr(bloch, "_BERNOULLI_COEFFS", {})
+    for bits in (256, 128, 256):
+        _check_against_polylog(KERNEL_POINTS, bits)
 
 
 def test_li2_cut_convention(ctx128):

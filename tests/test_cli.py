@@ -137,3 +137,47 @@ def test_tol_scale_loosens_gates(capsys):
     # with a huge tolerance scale even impossible gates pass; sanity only
     assert run(["--tol-scale", "1e30", "verify", "fiveterm", "--points", "5"]) == 0
     capsys.readouterr()
+
+
+def _assert_bad_input(argv, capsys, fragment):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    assert "error:" in err and fragment in err and "Traceback" not in err
+
+
+def test_precision_below_53_bits_exits_2(capsys):
+    _assert_bad_input(["solve", "--pair", "A1,T1", "--precision-bits", "10"], capsys,
+                      "at least 53")
+
+
+@pytest.mark.parametrize("matrix, fragment", [
+    ("[[-1]]", "positive definite"), ("[[2", "bad JSON"), ("5", "--matrix 5"), ("[[2, 1]]", "r x r"),
+])
+def test_qseries_custom_bad_matrix_exits_2(matrix, fragment, capsys):
+    _assert_bad_input(["qseries", "custom", "--matrix", matrix], capsys, fragment)
+
+
+@pytest.mark.parametrize("residues, modulus, fragment", [
+    ("1,x", "5", "--residues"), ("7", "5", "must lie in 1..4"), ("1,4", "0", "positive integer"),
+])
+def test_qseries_custom_bad_product_exits_2(residues, modulus, fragment, capsys):
+    _assert_bad_input(["qseries", "custom", "--matrix", "[[2]]", "--N", "10",
+                       "--residues", residues, "--modulus", modulus], capsys, fragment)
+
+
+def test_solve_all_above_rank_cap_exits_2(capsys):
+    _assert_bad_input(["solve", "--all", "--pair", "E8,A1"], capsys, "search cap 6")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "wedge", "--pair", "A1,T1", "--points", "0"],
+    ["verify", "fiveterm", "--points", "-3"],
+    ["verify", "periodicity", "--pair", "A1,T1", "--seeds", "0"],
+    ["verify", "torsion", "--pair", "A1,T1", "--starts", "0"],
+    ["report", "--pair", "A1,T1", "--points", "0"],
+    ["solve", "--pair", "A1,T1", "--all", "--starts", "-1"],
+    ["qseries", "rr", "--N", "0"],
+])
+def test_nonpositive_counts_exit_2(argv, capsys):
+    _assert_bad_input(argv, capsys, "must be a positive integer")
