@@ -9,7 +9,6 @@ central-charge rationals, and the Rogers-Ramanujan / Andrews-Gordon q-series
 identities with exact integer coefficients.
 """
 from .bloch import (
-    BlochElement,
     CentralChargeProbe,
     TORSION_TOLERANCE,
     bloch_wigner,
@@ -60,7 +59,6 @@ from .ysystem import (
 from . import errors
 
 __all__ = [
-    "BlochElement",
     "CentralChargeProbe",
     "CheckRecord",
     "DEFAULT_CONTEXT",

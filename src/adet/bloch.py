@@ -29,7 +29,6 @@ __all__ = [
     "li2",
     "bloch_wigner",
     "five_term_residual",
-    "BlochElement",
     "xi_D",
     "torsion_check",
     "rogers_L",
@@ -156,32 +155,6 @@ def five_term_residual(x, y, ctx: PrecisionContext = DEFAULT_CONTEXT):
             + bloch_wigner((1 - xv) / w, ctx)
         )
         return abs(total)
-
-
-@dataclass(frozen=True)
-class BlochElement:
-    """Formal sum sum_i n_i [x_i]; terms at 0 or 1 are dropped (and recorded).
-
-    [0] = [1] = 0 by convention, so such terms contribute nothing.
-    """
-
-    terms: tuple
-    dropped: tuple = ()
-
-    @classmethod
-    def from_terms(cls, terms) -> "BlochElement":
-        kept, dropped = [], []
-        for coeff, arg in terms:
-            a = to_mpc(arg)
-            if a == 0 or a == 1:
-                dropped.append((int(coeff), complex(a)))
-            else:
-                kept.append((int(coeff), a))
-        return cls(terms=tuple(kept), dropped=tuple(dropped))
-
-    def evaluate_D(self, ctx: PrecisionContext = DEFAULT_CONTEXT):
-        with ctx.workprec():
-            return mp.fsum(c * bloch_wigner(a, ctx) for c, a in self.terms)
 
 
 def xi_D(solution, ctx: PrecisionContext = DEFAULT_CONTEXT):

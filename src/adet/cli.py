@@ -131,17 +131,18 @@ def _ctx(args) -> PrecisionContext:
     return PrecisionContext(mantissa_bits=args.precision_bits)
 
 
-def _solve_all(args, ctx):
-    """solve_all over --pair with the --starts/--seed budget."""
-    budget = solver.SearchBudget(starts=args.starts, seed=args.seed)
-    if args.pair.n > budget.rank_cap:
+def _solve_all(pair, ctx, starts, seed):
+    """solve_all over `pair` with the --starts/--seed budget."""
+    budget = solver.SearchBudget(starts=starts, seed=seed)
+    if pair.n > budget.rank_cap:
         raise argparse.ArgumentTypeError(
-            f"--pair {args.pair.label}: size {args.pair.n} exceeds the multistart search cap "
+            f"--pair {pair.label}: size {pair.n} exceeds the multistart search cap "
             f"{budget.rank_cap}")
-    return solver.solve_all(args.pair, budget, ctx)
+    return solver.solve_all(pair, budget, ctx)
 
 
 def _sample_points(pair, count, rng, noise=0.1):
+    """Near-positive complex evaluation points (positive reals + imaginary noise)."""
     pts = []
     for _ in range(count):
         re = rng.uniform(0.5, 2.0, pair.n)
@@ -168,7 +169,7 @@ def _cmd_solve(args) -> VerificationReport:
     tol = ctx.tau_res * args.tol_scale
     t0 = time.perf_counter()
     if args.all:
-        sols = _solve_all(args, ctx)
+        sols = _solve_all(args.pair, ctx, args.starts, args.seed)
         records = tuple(
             CheckRecord.make(f"constant Y-system residual, solution {i}", s.residual, tol)
             for i, s in enumerate(sols.solutions)
@@ -182,50 +183,48 @@ def _cmd_solve(args) -> VerificationReport:
                               time.perf_counter() - t0)
 
 
-def _verify_periodicity(args, ctx, rng) -> tuple[tuple, dict]:
-    pair = args.pair
-    tol = ctx.tau_eq * args.tol_scale
+# One function per check family; `verify` runs one family, `report` runs them all.
+
+def _check_periodicity(pair, ctx, rng, count, tol_scale) -> list:
+    tol = ctx.tau_eq * tol_scale
     records = []
-    for s in range(args.seeds):
+    for s in range(count):
         y = rng.uniform(0.5, 2.0, pair.n)
         traj = ysystem.iterate(pair, list(y), 2 * pair.period, ctx)
         rep = ysystem.check_periodicity(traj, ctx)
         records.append(CheckRecord.make(f"periodicity, seed {s}", rep.records[0].residual, tol))
-    return tuple(records), {"pair": pair.label, "period": pair.period, "seeds": args.seeds}
+    return records
 
 
-def _verify_wedge(args, ctx, rng) -> tuple[tuple, dict]:
-    pair = args.pair
-    count = args.points or 5
-    tol = 1e-18 * args.tol_scale
+# family -> (record name, residual at one point, default point count)
+_POINT_FAMILIES = {
+    "wedge": ("wedge 2-form residual",
+              lambda pair, pt, ctx: verify.wedge_form_residual(pair, pt, ctx).residual, 5),
+    "dilogsum": ("|sum d D(f)| over S+",
+                 lambda pair, pt, ctx: abs(verify.dilog_sum_over_Splus(pair, pt, ctx)), 10),
+}
+
+
+def _check_points(pair, ctx, rng, count, tol_scale, families) -> list:
+    """Every family in `families` evaluated at each of `count` sampled points."""
+    tol = 1e-18 * tol_scale
     records = []
     for i, pt in enumerate(_sample_points(pair, count, rng)):
-        w = verify.wedge_form_residual(pair, pt, ctx)
-        records.append(CheckRecord.make(f"wedge 2-form residual, point {i}", w.residual, tol))
-    return tuple(records), {"pair": pair.label, "points": count}
+        for family in families:
+            name, residual, _ = _POINT_FAMILIES[family]
+            records.append(CheckRecord.make(f"{name}, point {i}", residual(pair, pt, ctx), tol))
+    return records
 
 
-def _verify_dilogsum(args, ctx, rng) -> tuple[tuple, dict]:
-    pair = args.pair
-    count = args.points or 10
-    tol = 1e-18 * args.tol_scale
-    records = []
-    for i, pt in enumerate(_sample_points(pair, count, rng)):
-        s = verify.dilog_sum_over_Splus(pair, pt, ctx)
-        records.append(CheckRecord.make(f"|sum d D(f)| over S+, point {i}", abs(s), tol))
-    return tuple(records), {"pair": pair.label, "points": count}
+def _check_torsion(pair, ctx, starts, seed, tol_scale):
+    """Torsion records over the multistart solution set; returns (records, solutions)."""
+    sols = _solve_all(pair, ctx, starts, seed)
+    rep = bloch.torsion_check(sols, ctx, tolerance=bloch.TORSION_TOLERANCE * tol_scale)
+    return rep.records, sols.solutions
 
 
-def _verify_torsion(args, ctx, rng) -> tuple[tuple, dict]:
-    pair = args.pair
-    sols = _solve_all(args, ctx)
-    rep = bloch.torsion_check(sols, ctx, tolerance=bloch.TORSION_TOLERANCE * args.tol_scale)
-    return rep.records, {"pair": pair.label, "solutions": len(sols.solutions), "starts": args.starts}
-
-
-def _verify_fiveterm(args, ctx, rng) -> tuple[tuple, dict]:
-    count = args.points or 1000
-    tol = 1e-30 * args.tol_scale
+def _check_fiveterm(ctx, rng, count, tol_scale) -> list:
+    tol = 1e-30 * tol_scale
     worst_five = mp.mpf(0)
     worst_refl = mp.mpf(0)
     worst_inv = mp.mpf(0)
@@ -240,29 +239,35 @@ def _verify_fiveterm(args, ctx, rng) -> tuple[tuple, dict]:
                 d = bloch.bloch_wigner(xx, ctx)
                 worst_refl = max(worst_refl, abs(d + bloch.bloch_wigner(1 - xx, ctx)))
                 worst_inv = max(worst_inv, abs(d + bloch.bloch_wigner(1 / xx, ctx)))
-    records = (
+    return [
         CheckRecord.make("five-term relation, max residual", worst_five, tol),
         CheckRecord.make("reflection D(x)+D(1-x), max residual", worst_refl, tol),
         CheckRecord.make("inversion D(x)+D(1/x), max residual", worst_inv, tol),
-    )
-    return records, {"points": count}
+    ]
 
 
 def _cmd_verify(args) -> VerificationReport:
     ctx = _ctx(args)
     rng = np.random.default_rng(args.seed)
     t0 = time.perf_counter()
-    handlers = {
-        "periodicity": _verify_periodicity,
-        "wedge": _verify_wedge,
-        "dilogsum": _verify_dilogsum,
-        "torsion": _verify_torsion,
-        "fiveterm": _verify_fiveterm,
-    }
-    if args.what != "fiveterm" and args.pair is None:
+    pair = args.pair
+    if args.what != "fiveterm" and pair is None:
         raise argparse.ArgumentTypeError(f"verify {args.what} requires --pair")
-    records, meta = handlers[args.what](args, ctx, rng)
-    return VerificationReport(f"verify {args.what}", meta, records, args.seed,
+    if args.what == "periodicity":
+        records = _check_periodicity(pair, ctx, rng, args.seeds, args.tol_scale)
+        meta = {"pair": pair.label, "period": pair.period, "seeds": args.seeds}
+    elif args.what == "torsion":
+        records, sols = _check_torsion(pair, ctx, args.starts, args.seed, args.tol_scale)
+        meta = {"pair": pair.label, "solutions": len(sols), "starts": args.starts}
+    elif args.what == "fiveterm":
+        count = args.points or 1000
+        records = _check_fiveterm(ctx, rng, count, args.tol_scale)
+        meta = {"points": count}
+    else:
+        count = args.points or _POINT_FAMILIES[args.what][2]
+        records = _check_points(pair, ctx, rng, count, args.tol_scale, (args.what,))
+        meta = {"pair": pair.label, "points": count}
+    return VerificationReport(f"verify {args.what}", meta, tuple(records), args.seed,
                               args.precision_bits, time.perf_counter() - t0)
 
 
@@ -293,6 +298,9 @@ def _cmd_qseries(args) -> VerificationReport:
         order = args.N or 100
         if not args.matrix:
             raise argparse.ArgumentTypeError("qseries custom requires --matrix")
+        if (args.residues is None) != (args.modulus is None):
+            raise argparse.ArgumentTypeError(
+                "qseries custom: --residues and --modulus must be given together")
         a = args.matrix
         try:
             b = args.b if args.b else [0] * len(a)
@@ -304,7 +312,7 @@ def _cmd_qseries(args) -> VerificationReport:
         print(series.head(12))
         meta = {"order": order, "series": series.to_json_obj()}
         records = ()
-        if args.residues and args.modulus:
+        if args.residues is not None:
             try:
                 product = qseries.eta_like_product(args.residues, args.modulus, order,
                                                    prefactor_exp=args.c)
@@ -334,28 +342,12 @@ def _cmd_report(args) -> VerificationReport:
     records.append(CheckRecord.make(f"central-charge probe vs {probe.rational}", probe.error,
                                     1e-20 * args.tol_scale))
 
-    sols = _solve_all(args, ctx)
-    meta["solutions_found"] = len(sols.solutions)
-    records.extend(bloch.torsion_check(sols, ctx,
-                                       tolerance=bloch.TORSION_TOLERANCE * args.tol_scale).records)
-
-    for s in range(args.seeds):
-        y = rng.uniform(0.5, 2.0, pair.n)
-        traj = ysystem.iterate(pair, list(y), 2 * pair.period, ctx)
-        rep = ysystem.check_periodicity(traj, ctx)
-        records.append(CheckRecord.make(f"periodicity, seed {s}", rep.records[0].residual,
-                                        ctx.tau_eq * args.tol_scale))
-
-    for i, pt in enumerate(_sample_points(pair, args.points, rng)):
-        w = verify.wedge_form_residual(pair, pt, ctx)
-        records.append(CheckRecord.make(f"wedge residual, point {i}", w.residual,
-                                        1e-18 * args.tol_scale))
-        s = verify.dilog_sum_over_Splus(pair, pt, ctx)
-        records.append(CheckRecord.make(f"|sum d D(f)|, point {i}", abs(s), 1e-18 * args.tol_scale))
-
-    five_args = argparse.Namespace(points=200, **{k: getattr(args, k) for k in ("tol_scale",)})
-    five_records, _ = _verify_fiveterm(five_args, ctx, rng)
-    records.extend(five_records)
+    torsion, sols = _check_torsion(pair, ctx, args.starts, args.seed, args.tol_scale)
+    meta["solutions_found"] = len(sols)
+    records += torsion
+    records += _check_periodicity(pair, ctx, rng, args.seeds, args.tol_scale)
+    records += _check_points(pair, ctx, rng, args.points, args.tol_scale, ("wedge", "dilogsum"))
+    records += _check_fiveterm(ctx, rng, 200, args.tol_scale)
     return VerificationReport("report", meta, tuple(records), args.seed, args.precision_bits,
                               time.perf_counter() - t0)
 

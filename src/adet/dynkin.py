@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -290,6 +291,7 @@ class PairIndexing:
                 P+ = P- = I x Z (no parity restriction).
     d         : folding multiplicity on S+; 2 for tadpole-tadpole pairs, else 1.
     ix, ixp   : adjacency rows (loops included) used by the Y-system recurrence.
+    factors   : the recurrence's right-hand side per index, derived from ix/ixp.
     """
 
     x: DynkinDiagram
@@ -340,8 +342,25 @@ class PairIndexing:
             (k, u) for u in range(self.period) for k in range(self.n) if self.in_P_plus(k, u)
         )
 
-    def multiplicity(self, k: int, u: int) -> int:
-        return self.d
+    @cached_property
+    def factors(self) -> tuple:
+        """Right-hand side of the Y-system per flattened index k = (i, i').
+
+        factors[k] = (numerator, denominator), each a tuple of
+        (flat index, exponent) pairs with nonzero exponent:
+
+            numerator   : ((j, i'), I(X)_{ij})     for the factors (1 + Y)
+            denominator : ((i, j'), I(X')_{i'j'})  for the factors (1 + 1/Y)
+
+        in ascending j and j'.  Derived from ix/ixp on first use, so a copy
+        made with dataclasses.replace (e.g. a bumped exponent) gets its own.
+        """
+        rp = self.rp
+        return tuple(
+            (tuple((j * rp + ip, m) for j, m in enumerate(self.ix[i]) if m),
+             tuple((i * rp + jp, m) for jp, m in enumerate(self.ixp[ip]) if m))
+            for i, ip in self.indices
+        )
 
 
 def pair_indexing(x: DynkinDiagram, xp: DynkinDiagram) -> PairIndexing:

@@ -81,19 +81,14 @@ class NahmPolynomialSystem:
     def __init__(self, pair: PairIndexing):
         self.pair = pair
         self.n = pair.n
-        eqs = []
-        for k, (i, ip) in enumerate(pair.indices):
-            plus = [(k, 0, 2)]  # (variable, kind 0=y / 1=1+y, exponent)
-            minus = []
-            for jp, m in enumerate(pair.ixp[ip]):
-                if m:
-                    plus.append((pair.index_of(i, jp), 1, m))
-                    minus.append((pair.index_of(i, jp), 0, m))
-            for j, m in enumerate(pair.ix[i]):
-                if m:
-                    minus.append((pair.index_of(j, ip), 1, m))
-            eqs.append((tuple(plus), tuple(minus)))
-        self.equations = tuple(eqs)
+        # factors (variable, kind 0=y / 1=1+y, exponent); the cleared
+        # denominator (1 + 1/y)^m contributes (1 + y)^m on the plus side
+        # and y^m on the minus side
+        self.equations = tuple(
+            (((k, 0, 2),) + tuple((j, 1, m) for j, m in downs),
+             tuple((j, 0, m) for j, m in downs) + tuple((j, 1, m) for j, m in ups))
+            for k, (ups, downs) in enumerate(pair.factors)
+        )
 
     @staticmethod
     def _base(y, factor):
@@ -354,18 +349,15 @@ def _positive_fixed_point(pair: PairIndexing, iters: int = 400):
     the positive cone and homes in on the all-positive solution, leaving the
     quadratic finish to Newton.
     """
-    rp = pair.rp
     y = [mp.mpf(1)] * pair.n
     for _ in range(iters):
         new = []
-        for k, (i, ip) in enumerate(pair.indices):
+        for ups, downs in pair.factors:
             num = mp.mpf(1)
-            for j, m in enumerate(pair.ix[i]):
-                if m:
-                    num *= (1 + y[j * rp + ip]) ** m
-            for jp, m in enumerate(pair.ixp[ip]):
-                if m:
-                    num /= (1 + 1 / y[i * rp + jp]) ** m
+            for j, m in ups:
+                num *= (1 + y[j]) ** m
+            for j, m in downs:
+                num /= (1 + 1 / y[j]) ** m
             new.append(mp.sqrt(num))
         drift = max(abs(a - b) / b for a, b in zip(new, y))
         y = new

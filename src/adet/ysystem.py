@@ -6,6 +6,11 @@ The recurrence, in adjacency form with tadpole loops included:
         prod_j (1 + Y[j,i'](u))**I(X)_{ij}
         / prod_j' (1 + Y[i,j'](u)**-1)**I(X')_{i'j'}
 
+Which factors, with which exponents, make up the right-hand side for each
+index is read from `PairIndexing.factors`, the one place the recurrence is
+encoded; the constant Y-system (`constant_residual`) and the Nahm solver read
+the same plan.
+
 Seeding follows the canonical rule Y(0) = y and Y(-1) = 1/y componentwise.
 For bipartite pairs this fills both decoupled parity copies at once: the
 values with (index, u) in P+ are exactly the canonical rational functions of
@@ -44,37 +49,34 @@ SIGN_EPSILONS = (1e-4, 1e-6, 1e-8)
 def _next_level(pair: PairIndexing, prev: dict, cur: dict, ks, tol, mag, u):
     """One recurrence step; `prev`/`cur` map flattened indices to values.
 
-    Works for any value type supporting +, *, /, ** int (mp numbers, jets);
-    `mag` extracts a magnitude for the degeneracy checks.
+    The right-hand side for index k is the plan `pair.factors[k]`.  Works for
+    any value type supporting +, *, /, ** int (mp numbers, jets); `mag`
+    extracts a magnitude for the degeneracy checks.
     """
     out = {}
-    rp = pair.rp
+    indices = pair.indices
     for k in ks:
-        i, ip = pair.indices[k]
+        ups, downs = pair.factors[k]
         num = None
-        for j, m in enumerate(pair.ix[i]):
-            if m == 0:
-                continue
-            f = 1 + cur[j * rp + ip]
+        for j, m in ups:
+            f = 1 + cur[j]
             if mag(f) <= tol:
-                raise DegenerateStep("factor 1+Y vanished", index=(j, ip), u=u)
+                raise DegenerateStep("factor 1+Y vanished", index=indices[j], u=u)
             fm = f if m == 1 else f ** m
             num = fm if num is None else num * fm
         den = None
-        for jp, m in enumerate(pair.ixp[ip]):
-            if m == 0:
-                continue
-            yv = cur[i * rp + jp]
+        for j, m in downs:
+            yv = cur[j]
             if mag(yv) <= tol:
-                raise DegenerateStep("Y vanished where its inverse is needed", index=(i, jp), u=u)
+                raise DegenerateStep("Y vanished where its inverse is needed", index=indices[j], u=u)
             f = 1 + 1 / yv
             if mag(f) <= tol:
-                raise DegenerateStep("factor 1+1/Y vanished", index=(i, jp), u=u)
+                raise DegenerateStep("factor 1+1/Y vanished", index=indices[j], u=u)
             fm = f if m == 1 else f ** m
             den = fm if den is None else den * fm
         pv = prev[k]
         if mag(pv) <= tol:
-            raise DegenerateStep("Y(u-1) vanished", index=pair.indices[k], u=u)
+            raise DegenerateStep("Y(u-1) vanished", index=indices[k], u=u)
         val = num if num is not None else 1
         if den is not None:
             val = val / den
@@ -272,16 +274,13 @@ def constant_residual(pair: PairIndexing, y, ctx: PrecisionContext = DEFAULT_CON
         for k, v in enumerate(yv):
             if abs(v) <= tol or abs(1 + v) <= tol:
                 raise DegenerateInput(f"component {pair.indices[k]} sits at a degenerate value")
-        rp = pair.rp
         worst = mp.mpf(0)
-        for k, (i, ip) in enumerate(pair.indices):
+        for k, (ups, downs) in enumerate(pair.factors):
             lhs = yv[k] ** 2
-            for jp, m in enumerate(pair.ixp[ip]):
-                if m:
-                    lhs *= (1 + 1 / yv[i * rp + jp]) ** m
+            for j, m in downs:
+                lhs *= (1 + 1 / yv[j]) ** m
             rhs = mp.mpc(1)
-            for j, m in enumerate(pair.ix[i]):
-                if m:
-                    rhs *= (1 + yv[j * rp + ip]) ** m
+            for j, m in ups:
+                rhs *= (1 + yv[j]) ** m
             worst = max(worst, abs(lhs - rhs))
         return worst

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from adet import PrecisionContext, pair_indexing, parse_diagram
+# Near-positive complex evaluation points, drawn exactly as the CLI draws them.
+from adet.cli import _sample_points as sample_points  # noqa: F401
 
 # The desk-scale pair list used by the solution/torsion/constancy checks.
 ACCEPT_PAIRS = ["A1,A1", "A1,T1", "A1,T2", "A2,A1", "A2,T1", "A1,A2", "A3,A1", "T1,T1"]
@@ -28,16 +30,6 @@ def all_pairs_up_to(max_product: int):
             if parse_diagram(a).rank * parse_diagram(b).rank <= max_product:
                 out.append(f"{a},{b}")
     return out
-
-
-def sample_points(p, count, rng, noise=0.1):
-    """Near-positive complex evaluation points (positive reals + imaginary noise)."""
-    pts = []
-    for _ in range(count):
-        re = rng.uniform(0.5, 2.0, p.n)
-        im = noise * rng.uniform(-1.0, 1.0, p.n)
-        pts.append([complex(a, b) for a, b in zip(re, im)])
-    return pts
 
 
 @pytest.fixture

@@ -8,7 +8,6 @@ import pytest
 
 import adet
 from adet import (
-    BlochElement,
     PrecisionContext,
     bloch_wigner,
     central_charge_probe,
@@ -177,13 +176,6 @@ def test_five_term_random_points(ctx128, rng):
 def test_five_term_degenerate(ctx128):
     with pytest.raises(DegenerateInput):
         five_term_residual(2.0, 0.5, ctx128)
-
-
-def test_bloch_element_drops_boundary_terms():
-    el = BlochElement.from_terms([(1, 0.5 + 0.5j), (2, 0), (1, 1), (-1, 2.5)])
-    assert len(el.terms) == 2
-    assert len(el.dropped) == 2
-    assert {c for c, _ in el.dropped} == {2, 1}
 
 
 def test_xi_D_conjugation(ctx128):

@@ -112,6 +112,24 @@ def test_report_aggregates(tmp_path, capsys):
     assert "PASS" in out
 
 
+def test_report_records_match_verify(tmp_path, capsys):
+    # report and verify share one function per check family: same seed, same records
+    def records(argv):
+        path = tmp_path / "out.json"
+        assert run(["--seed", "7", "--json", str(path)] + argv) == 0
+        return json.loads(path.read_text())["records"]
+
+    report = records(["report", "--pair", "A1,T1", "--starts", "200", "--points", "2", "--seeds", "3"])
+    periodic = records(["verify", "periodicity", "--pair", "A1,T1", "--seeds", "3"])
+    assert [r for r in report if r["name"].startswith("periodicity")] == periodic
+    wedge = records(["verify", "wedge", "--pair", "A1,T1", "--points", "2"])
+    dilogsum = records(["verify", "dilogsum", "--pair", "A1,T1", "--points", "2"])
+    verify_names = [r["name"] for r in wedge + dilogsum]
+    report_names = [r["name"] for r in report if "point" in r["name"]]
+    assert sorted(report_names) == sorted(verify_names)
+    capsys.readouterr()
+
+
 def test_reports_deterministic(tmp_path, capsys):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:
@@ -164,6 +182,13 @@ def test_qseries_custom_bad_matrix_exits_2(matrix, fragment, capsys):
 def test_qseries_custom_bad_product_exits_2(residues, modulus, fragment, capsys):
     _assert_bad_input(["qseries", "custom", "--matrix", "[[2]]", "--N", "10",
                        "--residues", residues, "--modulus", modulus], capsys, fragment)
+
+
+@pytest.mark.parametrize("half", [["--residues", "1,4"], ["--modulus", "5"]])
+def test_qseries_custom_half_product_exits_2(half, capsys):
+    # one of --residues/--modulus alone used to skip the product check silently
+    _assert_bad_input(["qseries", "custom", "--matrix", "[[2]]", "--N", "10"] + half, capsys,
+                      "--residues and --modulus")
 
 
 def test_solve_all_above_rank_cap_exits_2(capsys):

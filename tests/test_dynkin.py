@@ -216,10 +216,29 @@ def test_pair_indexing_parity():
     # exactly half of the index x window grid is in P+
     grid = [(k, u) for u in range(p.period) for k in range(p.n)]
     assert sum(p.in_P_plus(k, u) for k, u in grid) == len(grid) // 2
-    assert p.multiplicity(0, 0) == 1
 
 
 def test_pair_indexing_row_major():
     p = pair("A2,T2")
     assert p.indices == ((0, 0), (0, 1), (1, 0), (1, 1))
     assert p.index_of(1, 0) == 2
+
+
+def test_pair_indexing_factors_hand_plan():
+    # A2,T1: each A2 vertex sees the other through I(A2), itself through the T1 loop
+    assert pair("A2,T1").factors == ((((1, 1),), ((0, 1),)), (((0, 1),), ((1, 1),)))
+    # A1,A1: no neighbours on either side, so both products are empty
+    assert pair("A1,A1").factors == (((), ()),)
+
+
+@pytest.mark.parametrize("label", all_pairs_up_to(8))
+def test_pair_indexing_factors_match_adjacency(label):
+    p = pair(label)
+    adj, adjp = adjacency_matrix(p.x), adjacency_matrix(p.xp)
+    assert len(p.factors) == p.n
+    for k, (i, ip) in enumerate(p.indices):
+        ups, downs = p.factors[k]
+        assert ups == tuple((p.index_of(j, ip), int(adj[i, j]))
+                            for j in range(p.r) if adj[i, j])
+        assert downs == tuple((p.index_of(i, jp), int(adjp[ip, jp]))
+                              for jp in range(p.rp) if adjp[ip, jp])

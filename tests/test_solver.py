@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 
 import adet
 from adet import (
+    NahmPolynomialSystem,
     SearchBudget,
     constant_residual,
     polynomial_system,
     solve_all,
     solve_positive,
     x_to_y,
+    y_step,
     y_to_x,
 )
 from adet.errors import PoleInput
@@ -114,6 +116,18 @@ def test_solve_positive_closed_forms(ctx128):
         sol = solve_positive(pair("A3,A1"), ctx128)
         expect = [mp.mpf(2) / 3, mp.mpf(3) / 4, mp.mpf(2) / 3]
         assert max(abs(a - b) for a, b in zip(sol.x, expect)) < 1e-30
+
+
+@pytest.mark.parametrize("label", ACCEPT_PAIRS + ["D4,A1", "E6,A1"])
+def test_positive_solution_is_a_constant_y_system_solution(label, ctx128):
+    # the recurrence and the polynomial system read one right-hand side: the
+    # positive Nahm solution is a fixed point of the step and a root of R
+    p = pair(label)
+    y = list(solve_positive(p, ctx128).y)
+    step = y_step(p, y, y, ctx128)
+    with ctx128.workprec():
+        assert max(abs(a - b) for a, b in zip(step, y)) < ctx128.tau_res
+        assert max(abs(r) for r in NahmPolynomialSystem(p).residual(y)) < ctx128.tau_res
 
 
 def test_solve_positive_contraction(ctx128):

@@ -179,6 +179,10 @@ def test_perturbed_pair_validation():
     p = pair("A1,T1")
     with pytest.raises(ValueError):
         perturbed_pair(p, "bad-side", 0, 0)
+    assert p.factors == (((), ((0, 1),)),)  # builds the original's plan first
     bumped = perturbed_pair(p, "xp", 0, 0)
     assert bumped.ixp[0][0] == p.ixp[0][0] + 1
     assert p.ixp[0][0] == 1  # original untouched
+    # the copy derives its own right-hand side instead of sharing a stale one
+    assert bumped.factors == (((), ((0, 2),)),)
+    assert p.factors == (((), ((0, 1),)),)
