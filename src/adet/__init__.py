@@ -41,7 +41,6 @@ from .solver import (
     Solution,
     SolutionSet,
     nahm_branch_diagnostics,
-    polynomial_system,
     solve_all,
     solve_positive,
     x_to_y,
@@ -101,7 +100,6 @@ __all__ = [
     "parse_diagram",
     "perturbed_pair",
     "pochhammer_q",
-    "polynomial_system",
     "rogers_L",
     "solve_all",
     "solve_positive",

@@ -114,9 +114,6 @@ class RationalMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i: int):
-        return self.entries[i]
-
     def __eq__(self, other):
         return isinstance(other, RationalMatrix) and self.entries == other.entries
 

@@ -34,10 +34,6 @@ class WindowTooShort(AdetError, ValueError):
     """Trajectory window does not cover a full period."""
 
 
-class UnstableSign(AdetError, ArithmeticError):
-    """Monomial sign classification was not monotone across the epsilon schedule."""
-
-
 class NoConvergence(AdetError, RuntimeError):
     """Newton iteration exhausted its budget without converging."""
 

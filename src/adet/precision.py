@@ -5,7 +5,7 @@ the mantissa size and the tolerances used by equality and residual checks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import mpmath as mp
 
@@ -17,35 +17,22 @@ GUARD_BITS = 16
 class PrecisionContext:
     """Mantissa size plus the tolerances derived checks compare against.
 
-    degeneracy_tol guards Y in {0, -1} during trajectory steps; None means
-    "use tau_res".  Monomial-limit evaluations override it with 0.0 so that
-    legitimately tiny values (|Y| ~ eps^k) are not mistaken for degeneracies.
+    tau_res also guards Y in {0, -1} during trajectory steps.
     """
 
     mantissa_bits: int = 128
     tau_eq: float = 1e-25
     tau_res: float = 1e-20
-    degeneracy_tol: float | None = None
 
     def __post_init__(self):
         if self.mantissa_bits < 53:
             raise ValueError("mantissa_bits must be at least 53")
         if not (self.tau_eq > 0 and self.tau_res > 0):
             raise ValueError("tolerances must be positive")
-        if self.degeneracy_tol is not None and self.degeneracy_tol < 0:
-            raise ValueError("degeneracy_tol must be nonnegative")
 
     def workprec(self, extra: int = 0):
         """Context manager setting mpmath precision to mantissa_bits (+ guard)."""
         return mp.workprec(self.mantissa_bits + GUARD_BITS + extra)
-
-    def with_bits(self, bits: int) -> "PrecisionContext":
-        return replace(self, mantissa_bits=bits)
-
-    @property
-    def step_tol(self) -> float:
-        """Degeneracy threshold used by trajectory steps."""
-        return self.tau_res if self.degeneracy_tol is None else self.degeneracy_tol
 
 
 DEFAULT_CONTEXT = PrecisionContext()

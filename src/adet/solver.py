@@ -29,7 +29,6 @@ __all__ = [
     "x_to_y",
     "y_to_x",
     "NahmPolynomialSystem",
-    "polynomial_system",
     "solve_positive",
     "solve_all",
     "SearchBudget",
@@ -43,8 +42,8 @@ _FLOAT_DEDUP = 1e-6
 _DEGENERATE_MARGIN = 1e-8
 
 
-def _map_values(values, fn, scalar_ok=True):
-    if scalar_ok and not isinstance(values, (list, tuple, np.ndarray)):
+def _map_values(values, fn):
+    if not isinstance(values, (list, tuple, np.ndarray)):
         return fn(values)
     return [fn(v) for v in values]
 
@@ -129,11 +128,7 @@ class NahmPolynomialSystem:
         ]
 
 
-def polynomial_system(pair: PairIndexing) -> NahmPolynomialSystem:
-    return NahmPolynomialSystem(pair)
-
-
-def _newton_float(system, y0, max_iter=80, step_tol=1e-12, max_halvings=40):
+def _newton_float(system, y0, max_iter=80, min_step=1e-12, max_halvings=40):
     y = np.asarray(y0, dtype=complex)
     r = np.asarray(system.residual(y), dtype=complex)
     if not np.all(np.isfinite(r)):
@@ -163,15 +158,15 @@ def _newton_float(system, y0, max_iter=80, step_tol=1e-12, max_halvings=40):
         rnorm = np.max(np.abs(rc))
         if np.max(np.abs(y)) > 1e8:
             return None
-        if lam * np.max(np.abs(dy)) < step_tol:
+        if lam * np.max(np.abs(dy)) < min_step:
             break
     return y if rnorm < 1e-8 else None
 
 
-def _newton_mp(system, y0, ctx, *, step_tol=None, max_iter=200, max_halvings=40,
+def _newton_mp(system, y0, ctx, *, min_step="1e-30", max_iter=200, max_halvings=40,
                positive=False):
     """Damped Newton at context precision; returns (y, info) or None."""
-    step_tol = mp.mpf("1e-30") if step_tol is None else mp.mpf(step_tol)
+    min_step = mp.mpf(min_step)
     with ctx.workprec(32):
         if positive:
             y = [mp.mpf(v) for v in y0]
@@ -206,7 +201,7 @@ def _newton_mp(system, y0, ctx, *, step_tol=None, max_iter=200, max_halvings=40,
             step = lam * max(abs(v) for v in dy)
             steps.append(step)
             y = cand
-            if step < step_tol:
+            if step < min_step:
                 converged = True
                 break
         rfinal = max(abs(v) for v in system.residual(y))
@@ -419,7 +414,9 @@ def solve_all(pair: PairIndexing, budget: SearchBudget | None = None,
     Seeds are componentwise r*exp(i*theta) with log r uniform in [-1, 1] and
     theta uniform in [0, 2*pi).  Converged float candidates are deduplicated,
     polished at context precision, filtered against degenerate components and
-    tau_res, closed under complex conjugation, and deduplicated again at
+    tau_res, joined by the all-positive solution (polished from the same
+    fixed-point start as `solve_positive`), closed under complex
+    conjugation, and deduplicated again at
     max-norm tolerance 1e-10.  Determined entirely by (starts, seed, ctx).
     """
     budget = budget or SearchBudget()
@@ -462,19 +459,18 @@ def solve_all(pair: PairIndexing, budget: SearchBudget | None = None,
                 return
         polished.append([y, count, residual, info])
 
-    def _polish(y0, count):
+    def _is_new(y):
+        return all(max(abs(a - b) for a, b in zip(entry[0], y)) >= DEDUP_TOL for entry in polished)
+
+    def _polished(y0):
+        """(y, residual, info) for the root Newton reaches from y0, or None."""
         result = _newton_mp(system, y0, ctx)
-        if result is None:
+        ok = result is not None and result[1]["converged"] and not _is_degenerate_vec(result[0])
+        residual = constant_residual(pair, result[0], ctx) if ok else None
+        if not ok or residual >= ctx.tau_res:
             stats["polish_rejections"] += 1
-            return
+            return None
         y, info = result
-        if not info["converged"] or _is_degenerate_vec(y):
-            stats["polish_rejections"] += 1
-            return
-        residual = constant_residual(pair, y, ctx)
-        if residual >= ctx.tau_res:
-            stats["polish_rejections"] += 1
-            return
         # Imaginary dust far below the polish resolution means a real root
         # (the system is real); snap it, keeping the residual guarantee.
         snapped = [mp.mpc(mp.re(v)) if abs(mp.im(v)) < mp.mpf("1e-35") else v for v in y]
@@ -482,19 +478,29 @@ def solve_all(pair: PairIndexing, budget: SearchBudget | None = None,
             snapped_residual = constant_residual(pair, snapped, ctx)
             if snapped_residual < ctx.tau_res:
                 y, residual = snapped, snapped_residual
-        _merge(list(y), count, residual, info)
+        return list(y), residual, info
+
+    def _polish(y0, count):
+        found = _polished(y0)
+        if found is not None:
+            _merge(found[0], count, *found[1:])
 
     solutions = []
     with ctx.workprec(32):
         for root, count in reps:
             _polish(list(root), count)
 
+        # The all-positive solution always exists; add it if no basin reached
+        # it, leaving an entry that already holds it untouched.
+        found = _polished(_positive_fixed_point(pair))
+        if found is not None and _is_new(found[0]):
+            polished.append([found[0], 1, *found[1:]])
+
         # Conjugate closure: the defining polynomials are real, so the conjugate
         # of every root is a root; polish it in case its basin was missed.
         for entry in list(polished):
             conj = [mp.conj(v) for v in entry[0]]
-            if all(max(abs(a - b) for a, b in zip(other[0], conj)) >= DEDUP_TOL
-                   for other in polished):
+            if _is_new(conj):
                 _polish(conj, 1)
 
         polished.sort(key=lambda e: _sort_key(e[0]))

@@ -109,7 +109,7 @@ def _jet_grid(pair: PairIndexing, point, u_max: int, ctx: PrecisionContext) -> d
     """
     n = pair.n
     y = [to_mpc(v) for v in point]
-    tol = ctx.step_tol
+    tol = ctx.tau_res
     for k, v in enumerate(y):
         if abs(v) <= tol:
             raise DegenerateStep("zero seed component", index=pair.indices[k], u=0)
@@ -206,7 +206,7 @@ def dilog_sum_over_Splus(pair: PairIndexing, point, ctx: PrecisionContext = DEFA
         for (k, u) in pair.S_plus():
             yv = traj.values[(k, u)]
             w = 1 + yv
-            if abs(w) <= ctx.step_tol:
+            if abs(w) <= ctx.tau_res:
                 raise DegeneratePoint(f"1 + Y vanished at index {pair.indices[k]}, u={u}")
             total += _resolve_d(pair, d_override, k, u) * bloch_wigner(yv / w, ctx)
         return total
@@ -216,11 +216,18 @@ def perturbed_pair(pair: PairIndexing, side: str, i: int, j: int, delta: int = 1
     """Copy of the indexing with one adjacency exponent bumped.
 
     Negative-control diagnostic: the bumped recurrence no longer satisfies
-    the constancy condition, so the residuals above must blow up.
+    the constancy condition, so the residuals above must blow up.  Without a
+    tadpole, P+ values read only the other colour, so the bump must join two
+    vertices of different colours.
     """
     if side not in ("x", "xp"):
         raise ValueError("side must be 'x' or 'xp'")
     rows = [list(r) for r in (pair.ix if side == "x" else pair.ixp)]
+    if not (0 <= i < len(rows) and 0 <= j < len(rows)):
+        raise ValueError(f"bump ({i},{j}) outside the {len(rows)}-vertex diagram on side {side}")
+    ends = [pair.index_of(v, 0) if side == "x" else pair.index_of(0, v) for v in (i, j)]
+    if not pair.degenerate and pair.eps[ends[0]] == pair.eps[ends[1]]:
+        raise ValueError(f"bump ({i},{j}) on side {side} joins two vertices of the same colour")
     rows[i][j] += delta
     bumped = tuple(tuple(r) for r in rows)
     if side == "x":

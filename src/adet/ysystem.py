@@ -8,8 +8,8 @@ The recurrence, in adjacency form with tadpole loops included:
 
 Which factors, with which exponents, make up the right-hand side for each
 index is read from `PairIndexing.factors`, the one place the recurrence is
-encoded; the constant Y-system (`constant_residual`) and the Nahm solver read
-the same plan.
+encoded; the constant Y-system (`constant_residual`), the tropical degrees
+behind `monomial_sign` and the Nahm solver read the same plan.
 
 Seeding follows the canonical rule Y(0) = y and Y(-1) = 1/y componentwise.
 For bipartite pairs this fills both decoupled parity copies at once: the
@@ -20,12 +20,12 @@ independently (`y_minus`) without touching a single P+ value.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import mpmath as mp
 
 from .dynkin import PairIndexing
-from .errors import DegenerateInput, DegenerateStep, UnstableSign, WindowTooShort
+from .errors import DegenerateInput, DegenerateStep, WindowTooShort
 from .precision import DEFAULT_CONTEXT, GUARD_BITS, PrecisionContext, to_mpc
 from .report import CheckRecord, VerificationReport
 
@@ -36,14 +36,11 @@ __all__ = [
     "check_periodicity",
     "monomial_sign",
     "constant_residual",
-    "SIGN_EPSILONS",
 ]
 
 # Magnitudes beyond this trigger a re-run of the affected parity copy at 256 bits.
 ESCALATION_THRESHOLD = 1e30
 ESCALATED_BITS = 256
-
-SIGN_EPSILONS = (1e-4, 1e-6, 1e-8)
 
 
 def _next_level(pair: PairIndexing, prev: dict, cur: dict, ks, tol, mag, u):
@@ -95,7 +92,7 @@ def y_step(pair: PairIndexing, y_prev, y_cur, ctx: PrecisionContext = DEFAULT_CO
     with ctx.workprec():
         prev = {k: to_mpc(v) for k, v in enumerate(y_prev)}
         cur = {k: to_mpc(v) for k, v in enumerate(y_cur)}
-        out = _next_level(pair, prev, cur, range(pair.n), ctx.step_tol, abs, u=None)
+        out = _next_level(pair, prev, cur, range(pair.n), ctx.tau_res, abs, u=None)
         return [out[k] for k in range(pair.n)]
 
 
@@ -181,7 +178,7 @@ def iterate(pair: PairIndexing, y, u_max: int, ctx: PrecisionContext = DEFAULT_C
         raise ValueError("tadpole pairs carry a single copy; y_minus is not applicable")
     if len(y) != pair.n:
         raise ValueError(f"expected a seed vector of length {pair.n}")
-    tol = ctx.step_tol
+    tol = ctx.tau_res
     levels, peak = _run_grid(pair, y, y_minus, u_max, ctx.mantissa_bits, tol)
     escalate = [
         ctx.mantissa_bits < ESCALATED_BITS and p > ESCALATION_THRESHOLD for p in peak
@@ -234,30 +231,39 @@ def check_periodicity(traj: YTrajectory, ctx: PrecisionContext = DEFAULT_CONTEXT
     )
 
 
+def _tropical_degrees(pair: PairIndexing, u: int) -> list:
+    """Exponents d_k of the leading monomials eps**d_k of Y(u) at all seeds eps.
+
+    The tropical Y-system on the plan `pair.factors`: a factor 1 + Y has
+    degree min(0, deg Y), a factor 1 + 1/Y has degree -max(0, deg Y), and
+    the recurrence starts from deg Y(0) = 1, deg Y(-1) = -1.
+    """
+    prev, cur = [-1] * pair.n, [1] * pair.n
+    for _ in range(u):
+        prev, cur = cur, [
+            sum(m * min(0, cur[j]) for j, m in ups)
+            + sum(m * max(0, cur[j]) for j, m in downs) - prev[k]
+            for k, (ups, downs) in enumerate(pair.factors)
+        ]
+    return cur
+
+
 def monomial_sign(pair: PairIndexing, k: int, u: int,
                   ctx: PrecisionContext = DEFAULT_CONTEXT) -> int:
-    """Sign of the leading monomial of Y_k(u), classified by epsilon limits.
+    """Sign of the leading monomial of Y_k(u): +1 when its tropical degree is
+    positive (|Y_k(u)| shrinks as every seed shrinks to eps), -1 when negative.
 
-    All seeds are set to eps in {1e-4, 1e-6, 1e-8}; |Y_k(u)| must shrink
-    monotonically (positive monomial, returns +1) or grow monotonically
-    (negative monomial, returns -1) across the schedule.
+    The degree is an exact integer, so `ctx` is not read; it stays in the
+    signature for callers that pass it positionally.
     """
     if not (0 <= u < pair.period):
         raise ValueError(f"u={u} outside the S+ window [0, {pair.period})")
     if not pair.in_P_plus(k, u):
         raise ValueError(f"(index {k}, u={u}) is not in P+")
-    limit_ctx = replace(ctx, degeneracy_tol=0.0)
-    mags = []
-    for e in SIGN_EPSILONS:
-        traj = iterate(pair, [e] * pair.n, u, limit_ctx)
-        mags.append(abs(traj.values[(k, u)]))
-    if mags[0] > mags[1] > mags[2]:
-        return 1
-    if mags[0] < mags[1] < mags[2]:
-        return -1
-    raise UnstableSign(
-        f"no monotone trend for index {pair.indices[k]}, u={u}: magnitudes {[mp.nstr(m, 5) for m in mags]}"
-    )
+    deg = _tropical_degrees(pair, u)[k]
+    if deg == 0:
+        raise ArithmeticError(f"leading monomial of index {pair.indices[k]}, u={u} has degree 0")
+    return 1 if deg > 0 else -1
 
 
 def constant_residual(pair: PairIndexing, y, ctx: PrecisionContext = DEFAULT_CONTEXT):
@@ -270,7 +276,7 @@ def constant_residual(pair: PairIndexing, y, ctx: PrecisionContext = DEFAULT_CON
         raise ValueError(f"expected a vector of length {pair.n}")
     with ctx.workprec():
         yv = [to_mpc(v) for v in y]
-        tol = ctx.step_tol
+        tol = ctx.tau_res
         for k, v in enumerate(yv):
             if abs(v) <= tol or abs(1 + v) <= tol:
                 raise DegenerateInput(f"component {pair.indices[k]} sits at a degenerate value")

@@ -9,7 +9,6 @@ from adet import (
     NahmPolynomialSystem,
     SearchBudget,
     constant_residual,
-    polynomial_system,
     solve_all,
     solve_positive,
     x_to_y,
@@ -32,6 +31,7 @@ SOLUTION_COUNTS = {
     "A1,A2": 2,
     "A3,A1": 1,
     "T1,T1": 1,
+    "D4,A1": 1,
 }
 
 
@@ -73,17 +73,17 @@ def test_round_trip_property(z):
 
 def test_polynomial_system_roots(ctx128):
     with ctx128.workprec():
-        sys_a1a1 = polynomial_system(pair("A1,A1"))
+        sys_a1a1 = NahmPolynomialSystem(pair("A1,A1"))
         assert max(abs(v) for v in sys_a1a1.residual([mp.mpc(1)])) < 1e-35
 
-        sys_a1t1 = polynomial_system(pair("A1,T1"))
+        sys_a1t1 = NahmPolynomialSystem(pair("A1,T1"))
         for y in ((mp.sqrt(5) - 1) / 2, (-mp.sqrt(5) - 1) / 2):
             assert max(abs(v) for v in sys_a1t1.residual([mp.mpc(y)])) < 1e-35
 
 
 def test_polynomial_system_jacobian_fd(ctx128, rng):
     # finite differences vs the analytic Jacobian, 10 random points
-    system = polynomial_system(pair("A1,T2"))
+    system = NahmPolynomialSystem(pair("A1,T2"))
     with ctx128.workprec():
         h = mp.mpf("1e-12")
         for _ in range(10):
@@ -151,13 +151,26 @@ def test_solve_all_closed_forms(ctx128):
     assert abs(sols.solutions[0].x[0] - 0.5) < 1e-25
 
 
-@pytest.mark.parametrize("label", ACCEPT_PAIRS)
+@pytest.mark.parametrize("label", list(SOLUTION_COUNTS))
 def test_solve_all_counts(label, ctx128):
     sols = solve_all(pair(label), SearchBudget(starts=800, seed=0), ctx128)
     assert len(sols.solutions) == SOLUTION_COUNTS[label]
     for sol in sols.solutions:
         assert sol.residual < ctx128.tau_res
         assert sol.multiplicity_hint >= 1
+
+
+@pytest.mark.parametrize("label", ["E6,A1", "D4,A1"])
+def test_solve_all_holds_positive_solution(label, ctx128):
+    # every random start may miss it (D4,A1: all 200 land on y in {0, -1}),
+    # yet the all-positive solution is always in the set
+    p = pair(label)
+    positive = solve_positive(p, ctx128)
+    for seed in (1, 2, 3):
+        sols = solve_all(p, SearchBudget(starts=200, seed=seed), ctx128)
+        with ctx128.workprec():
+            assert any(max(abs(a - b) for a, b in zip(s.y, positive.y)) < sols.dedup_tol
+                       for s in sols.solutions), (label, seed)
 
 
 def test_solve_all_seed_stability(ctx128):

@@ -186,3 +186,12 @@ def test_perturbed_pair_validation():
     # the copy derives its own right-hand side instead of sharing a stale one
     assert bumped.factors == (((), ((0, 2),)),)
     assert p.factors == (((), ((0, 1),)),)
+    # without a tadpole a bump must join two colours: a same-colour (here
+    # diagonal) bump reads the parity copy that P+ values never see
+    for side in ("x", "xp"):
+        with pytest.raises(ValueError, match="same colour"):
+            perturbed_pair(pair("A2,A1"), side, 0, 0)
+    # indices must name vertices of the bumped diagram; -1 used to wrap around
+    for side, i, j in [("x", -1, 0), ("x", 0, -1), ("x", 2, 0), ("xp", 0, 1), ("xp", 1, 0)]:
+        with pytest.raises(ValueError, match="outside"):
+            perturbed_pair(pair("A2,A1"), side, i, j)

@@ -8,6 +8,7 @@ import pytest
 import adet
 from adet import check_periodicity, constant_residual, iterate, monomial_sign, y_step
 from adet.errors import DegenerateInput, DegenerateStep, WindowTooShort
+from adet.ysystem import _next_level, _tropical_degrees
 
 from conftest import ACCEPT_PAIRS, all_pairs_up_to, pair
 
@@ -139,7 +140,9 @@ def test_periodicity_sweep_all_supported_pairs(ctx256):
             assert rep.records[0].residual < 1e-25, (label, rep.records[0].residual_str)
 
 
-def test_monomial_sign_examples(ctx128):
+def test_monomial_sign_examples(ctx128, monkeypatch):
+    # the degrees are exact integers: no trajectory is iterated
+    monkeypatch.setattr(adet.ysystem, "iterate", None)
     p = pair("A1,A1")
     assert monomial_sign(p, 0, 0, ctx128) == 1  # Y(0) = y itself
     assert monomial_sign(p, 0, 2, ctx128) == -1  # Y(2) = 1/y
@@ -182,20 +185,66 @@ def test_monomial_count_matches_central_charge(label, ctx128):
     assert probe.rational == Fraction(neg, per_index)
 
 
+def _eps_limit_signs(p, ctx):
+    """Test oracle: with every seed eps in {1e-4, 1e-6, 1e-8}, |Y_k(u)| shrinks
+    (+1) or grows (-1) monotonically; None if neither.  tau_res is lowered so
+    that the tiny values eps**deg are not taken for degeneracies."""
+    limit_ctx = replace(ctx, tau_res=1e-300)
+    trajs = [iterate(p, [e] * p.n, p.period - 1, limit_ctx) for e in (1e-4, 1e-6, 1e-8)]
+    signs = {}
+    for (k, u) in p.S_plus():
+        a, b, c = (abs(t.values[(k, u)]) for t in trajs)
+        signs[(k, u)] = 1 if a > b > c else -1 if a < b < c else None
+    return signs
+
+
 @pytest.mark.slow
 def test_monomial_sign_never_unstable_small_pairs(ctx128):
-    # classification is monotone across the epsilon schedule for rr' <= 6
-    for label in all_pairs_up_to(6):
+    # the epsilon limit is monotone and equals the tropical sign at every S+
+    # position for rr' <= 8 (which holds every pair the benchmark signs)
+    for label in all_pairs_up_to(8):
         p = pair(label)
-        picks = p.S_plus()[:: max(1, len(p.S_plus()) // 12)]
-        for (k, u) in picks:
-            assert monomial_sign(p, k, u, ctx128) in (-1, 1), (label, k, u)
+        for (k, u), sign in _eps_limit_signs(p, ctx128).items():
+            assert monomial_sign(p, k, u, ctx128) == sign, (label, k, u)
+
+
+@pytest.mark.slow
+def test_tropical_degrees_never_zero():
+    # every active position has a genuine leading monomial, so monomial_sign
+    # never meets degree 0 on these pairs
+    for label in all_pairs_up_to(16):
+        p = pair(label)
+        for u in range(p.period):
+            degrees = _tropical_degrees(p, u)
+            assert all(degrees[k] != 0 for k in p.active_indices(u)), (label, u)
+
+
+@pytest.mark.slow
+def test_monomial_count_matches_central_charge_all_small_pairs(ctx128):
+    for label in all_pairs_up_to(8):
+        p = pair(label)
+        signs = [monomial_sign(p, k, u, ctx128) for (k, u) in p.S_plus()]
+        per_index = len(signs) // p.n
+        probe = adet.central_charge_probe(p, ctx128)
+        assert Fraction(signs.count(-1), per_index) == probe.rational, label
+
+
+def test_periodicity_exact_rational_seeds():
+    # Y(u + 2(h+h')) == Y(u) with no rounding: the recurrence on Fractions
+    rng = np.random.default_rng(11)
+    for label in all_pairs_up_to(8) + ["E6,E6", "E7,E7"]:
+        p = pair(label)
+        y = [Fraction(int(a), int(b)) for a, b in rng.integers(1, 10, size=(p.n, 2))]
+        levels = {-1: {k: 1 / v for k, v in enumerate(y)}, 0: dict(enumerate(y))}
+        for u in range(p.period):
+            levels[u + 1] = _next_level(p, levels[u - 1], levels[u], range(p.n), 0, abs, u + 1)
+        assert levels[p.period - 1] == levels[-1] and levels[p.period] == levels[0], label
 
 
 def test_escalation_on_extreme_magnitudes():
     # deep-epsilon seeds push |Y| past 1e30, forcing the 256-bit re-run
     p = pair("A1,T2")
-    ctx = replace(adet.DEFAULT_CONTEXT, degeneracy_tol=0.0)
+    ctx = replace(adet.DEFAULT_CONTEXT, tau_res=1e-300)
     traj = iterate(p, [1e-8] * p.n, p.period - 1, ctx)
     assert traj.precision_bits == 256
 
