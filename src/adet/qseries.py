@@ -7,11 +7,10 @@ minimum valid truncation order and never fabricates coefficients beyond it.
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-
-import numpy as np
 
 from .dynkin import RationalMatrix
 from .errors import NonIntegralExponent
@@ -121,29 +120,30 @@ class PowerSeries:
                 "N": self.trunc}
 
 
+def _divide_by_binomial(coeffs: list, m: int) -> None:
+    """coeffs <- coeffs / (1 - q^m), in place, to the list's own order."""
+    for k in range(m, len(coeffs)):
+        coeffs[k] += coeffs[k - m]
+
+
 def pochhammer_q(n: int, trunc: int) -> PowerSeries:
     """(q)_n = (1-q)(1-q^2)...(1-q^n), exactly, to the given order."""
     if n < 0 or trunc < 0:
         raise ValueError("n and trunc must be nonnegative")
-    out = PowerSeries.one(trunc)
-    for m in range(1, n + 1):
-        coeffs = [0] * (trunc + 1)
-        coeffs[0] = 1
-        if m <= trunc:
-            coeffs[m] = -1
-        out = out * PowerSeries(tuple(coeffs), trunc)
-    return out
+    coeffs = [1] + [0] * trunc
+    for m in range(1, min(n, trunc) + 1):
+        for k in range(trunc, m - 1, -1):  # descending: coeffs[k - m] is still the old value
+            coeffs[k] -= coeffs[k - m]
+    return PowerSeries(tuple(coeffs), trunc)
 
 
 def inverse_pochhammer_q(n: int, trunc: int) -> PowerSeries:
     """1/(q)_n: the generating function of partitions into parts <= n."""
     if n < 0 or trunc < 0:
         raise ValueError("n and trunc must be nonnegative")
-    coeffs = [0] * (trunc + 1)
-    coeffs[0] = 1
-    for part in range(1, n + 1):
-        for k in range(part, trunc + 1):
-            coeffs[k] += coeffs[k - part]
+    coeffs = [1] + [0] * trunc
+    for part in range(1, min(n, trunc) + 1):
+        _divide_by_binomial(coeffs, part)
     return PowerSeries(tuple(coeffs), trunc)
 
 
@@ -153,55 +153,93 @@ def _as_fraction_matrix(a) -> list[list[Fraction]]:
     return [[Fraction(v) for v in row] for row in a]
 
 
+def _ldl(sym: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Exact LDL^t of a symmetric rational matrix: unit lower-triangular L and
+    the pivots d.  By Sylvester's criterion the matrix is positive definite iff
+    every pivot is positive; the first pivot <= 0 raises ValueError."""
+    r = len(sym)
+    low = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
+    piv: list[Fraction] = []
+    for j in range(r):
+        d = sym[j][j] - sum(low[j][k] ** 2 * piv[k] for k in range(j))
+        if d <= 0:
+            raise ValueError("A must be positive definite")
+        piv.append(d)
+        for i in range(j + 1, r):
+            low[i][j] = (sym[i][j] - sum(low[i][k] * low[j][k] * piv[k] for k in range(j))) / d
+    return low, piv
+
+
 def f_abc(a, b, c, trunc: int) -> PowerSeries:
     """Nahm-type sum  sum_n q^{n^t A n / 2 + B^t n} / ((q)_{n_1} ... (q)_{n_r}),
     with the global prefactor q^C kept symbolic.
 
     A must be positive definite; every lattice point with exponent <= trunc
     must produce a nonnegative integer power, else NonIntegralExponent.
+
+    Only the points n >= 0 with Q(n) = n^t A n / 2 + B^t n <= trunc are
+    visited (Fincke-Pohst enumeration).  Over Q, S = (A + A^t)/2 = L D L^t and
+    x* = -S^{-1} B give  Q(n) = Q(x*) + sum_j d_j z_j^2 / 2  with
+    z_j = y_j + sum_{i>j} L_ij y_i,  y = n - x*.  The coordinates are fixed
+    from n_{r-1} down to n_0.  Once n_{k+1}, ..., n_{r-1} are fixed, the terms
+    j >= k are the exact minimum of Q over the free coordinates, a convex
+    parabola in n_k, so the loop over n_k ends at the first value past the
+    vertex where that bound exceeds trunc.  Every bound and every exponent is
+    an exact rational.  The product 1/((q)_{n_1} ... (q)_{n_r}) is carried down
+    the recursion: stepping n_k from m - 1 to m divides the running list by
+    1 - q^m in place, and each kept point adds that list into the result at
+    its exponent.  Each step costs O(trunc) integer additions, and a step
+    leaves the ellipsoid only to end its loop or to approach a vertex beyond 0:
+    Andrews-Gordon rank 4 to order 24 takes 81 steps, where the box [0, 11]^4
+    around the ellipsoid holds 20736 points.
     """
     amat = _as_fraction_matrix(a)
     r = len(amat)
     bvec = [Fraction(v) for v in b]
-    if len(bvec) != r or any(len(row) != r for row in amat):
+    if r == 0 or len(bvec) != r or any(len(row) != r for row in amat):
         raise ValueError("A must be r x r and B of length r")
-    afloat = np.array([[float(v) for v in row] for row in amat])
-    eigs = np.linalg.eigvalsh(afloat)
-    lam_min = eigs.min()
-    if lam_min <= 0:
-        raise ValueError("A must be positive definite")
-    bnorm = float(np.linalg.norm([float(v) for v in bvec]))
-    # ||n|| bound: lam_min |n|^2 / 2 - |B| |n| <= trunc
-    radius = (bnorm + (bnorm ** 2 + 2 * lam_min * trunc) ** 0.5) / lam_min
-    box = int(radius) + 2
+    if trunc < 0:
+        raise ValueError("trunc must be nonnegative")
+    low, piv = _ldl([[(amat[i][j] + amat[j][i]) / 2 for j in range(r)] for i in range(r)])
+    # x* = -S^{-1} B by forward substitution, pivot scaling and back substitution
+    xs = [Fraction(0)] * r
+    for i in range(r):
+        xs[i] = -bvec[i] - sum(low[i][k] * xs[k] for k in range(i))
+    for i in reversed(range(r)):
+        xs[i] = xs[i] / piv[i] - sum(low[k][i] * xs[k] for k in range(i + 1, r))
+    total = [0] * (trunc + 1)
+    n = [0] * r
 
-    inv_cache: dict[int, PowerSeries] = {}
+    def visit(k: int, base: Fraction, series: list) -> None:
+        # n_{k+1..r-1} are fixed and base is the minimum of Q over the rest;
+        # every exponent below is >= base, so fewer orders suffice
+        run = series[: trunc + 1 - max(0, math.ceil(base))]
+        centre = xs[k] - sum(low[i][k] * (n[i] - xs[i]) for i in range(k + 1, r))
+        m = 0
+        while True:
+            if m:
+                _divide_by_binomial(run, m)
+            bound = base + piv[k] * (m - centre) ** 2 / 2
+            if bound > trunc:
+                if m >= centre:
+                    return
+            elif k:
+                n[k] = m
+                visit(k - 1, bound, run)
+            else:
+                n[0] = m
+                if bound.denominator != 1 or bound < 0:
+                    raise NonIntegralExponent(
+                        f"lattice point {tuple(n)} contributes exponent {bound}, "
+                        "not a nonnegative integer"
+                    )
+                e = int(bound)
+                total[e:] = map(operator.add, total[e:], run)
+            m += 1
 
-    def inv_poch(m: int) -> PowerSeries:
-        if m not in inv_cache:
-            inv_cache[m] = inverse_pochhammer_q(m, trunc)
-        return inv_cache[m]
-
-    total = PowerSeries((0,) * (trunc + 1), trunc)
-    for n in product(range(box + 1), repeat=r):
-        e = Fraction(0)
-        for i in range(r):
-            if n[i]:
-                e += bvec[i] * n[i]
-                for j in range(r):
-                    if n[j]:
-                        e += Fraction(amat[i][j] * n[i] * n[j], 2)
-        if e > trunc:
-            continue
-        if e.denominator != 1 or e < 0:
-            raise NonIntegralExponent(
-                f"lattice point {n} contributes exponent {e}, not a nonnegative integer"
-            )
-        term = PowerSeries.one(trunc)
-        for ni in n:
-            term = term * inv_poch(ni)
-        total = total + term.shifted(int(e))
-    return total.with_prefactor(Fraction(c))
+    # Q(x*) <= Q(0) = 0 <= trunc: the root always has points to visit
+    visit(r - 1, sum(bi * xi for bi, xi in zip(bvec, xs)) / 2, [1] + [0] * trunc)
+    return PowerSeries(tuple(total), trunc, Fraction(c))
 
 
 def eta_like_product(residues, modulus: int, trunc: int, prefactor_exp=Fraction(0)) -> PowerSeries:
@@ -209,12 +247,10 @@ def eta_like_product(residues, modulus: int, trunc: int, prefactor_exp=Fraction(
     allowed = set(int(v) for v in residues)
     if not allowed.issubset(set(range(1, modulus))):
         raise ValueError(f"residues must lie in 1..{modulus - 1}")
-    coeffs = [0] * (trunc + 1)
-    coeffs[0] = 1
+    coeffs = [1] + [0] * trunc
     for n in range(1, trunc + 1):
         if n % modulus in allowed:
-            for k in range(n, trunc + 1):
-                coeffs[k] += coeffs[k - n]
+            _divide_by_binomial(coeffs, n)
     return PowerSeries(tuple(coeffs), trunc, Fraction(prefactor_exp))
 
 

@@ -1,5 +1,9 @@
+import random
+import time
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -102,12 +106,17 @@ def test_f_abc_nonnegative_coefficients():
 
 
 def test_f_abc_ag_quadratic_form():
-    # (n1+n2)^2 + n2^2 exponents: spot-check the exact lattice exponents
-    a = [[2, 2], [2, 4]]
-    for n1 in range(5):
-        for n2 in range(5):
-            e = Fraction(n1 * n1 * 2 + 2 * 2 * n1 * n2 + 4 * n2 * n2, 2)
-            assert e == (n1 + n2) ** 2 + n2 ** 2
+    # direct sum over the kept points: n^t A n / 2 = (n1+n2)^2 + n2^2 <= N
+    order = 40
+    direct = PowerSeries((0,) * (order + 1), order)
+    for n1, n2 in product(range(order + 1), repeat=2):
+        e = (n1 + n2) ** 2 + n2 ** 2
+        if e <= order:
+            term = inverse_pochhammer_q(n1, order) * inverse_pochhammer_q(n2, order)
+            direct = direct + term.shifted(e)
+    assert f_abc([[2, 2], [2, 4]], [0, 0], 0, order) == direct
+    # n^t A n sees only the symmetric part (A + A^t)/2
+    assert f_abc([[2, 3], [1, 4]], [0, 0], 0, order) == direct
 
 
 def test_f_abc_block_extension_monotone():
@@ -126,8 +135,102 @@ def test_f_abc_non_integral_exponent():
 
 
 def test_f_abc_rejects_indefinite_matrix():
-    with pytest.raises(ValueError, match="positive definite"):
-        f_abc([[0]], [0], 0, 5)
+    # [[2, 4], [0, 2]] has a positive-definite lower triangle but a singular symmetric part
+    for a in ([[0]], [[2, 2], [2, 2]], [[2, 4], [0, 2]], [[2, 0, 0], [0, 2, 3], [0, 3, 4]]):
+        with pytest.raises(ValueError, match="positive definite"):
+            f_abc(a, [0] * len(a), 0, 5)
+
+
+def _box_f_abc(a, b, c, trunc):
+    """Reference f_abc: every point of a box around the ellipsoid, the box
+    radius from the float eigenvalues of A (the enumeration f_abc used before
+    it was pruned)."""
+    amat = [[Fraction(v) for v in row] for row in a]
+    r = len(amat)
+    bvec = [Fraction(v) for v in b]
+    lam_min = np.linalg.eigvalsh(np.array([[float(v) for v in row] for row in amat])).min()
+    if lam_min <= 0:
+        raise ValueError("A must be positive definite")
+    bnorm = float(np.linalg.norm([float(v) for v in bvec]))
+    # ||n|| bound: lam_min |n|^2 / 2 - |B| |n| <= trunc
+    radius = (bnorm + (bnorm ** 2 + 2 * lam_min * trunc) ** 0.5) / lam_min
+    box = int(radius) + 2
+    total = PowerSeries((0,) * (trunc + 1), trunc)
+    for n in product(range(box + 1), repeat=r):
+        e = Fraction(0)
+        for i in range(r):
+            if n[i]:
+                e += bvec[i] * n[i]
+                for j in range(r):
+                    if n[j]:
+                        e += Fraction(amat[i][j] * n[i] * n[j], 2)
+        if e > trunc:
+            continue
+        if e.denominator != 1 or e < 0:
+            raise NonIntegralExponent(f"lattice point {n} contributes exponent {e}")
+        term = PowerSeries.one(trunc)
+        for ni in n:
+            term = term * inverse_pochhammer_q(ni, trunc)
+        total = total + term.shifted(int(e))
+    return total.with_prefactor(Fraction(c))
+
+
+def andrews_gordon_matrix(k):
+    """2 C(T_k)^{-1}, the Nahm matrix of (A1, T_k)."""
+    return [[2 * min(i, j) + 2 for j in range(k)] for i in range(k)]
+
+
+@pytest.mark.parametrize("a, b, order", [
+    ([[2]], [0], 600), ([[2]], [1], 600), (andrews_gordon_matrix(2), [0, 0], 250),
+    (andrews_gordon_matrix(3), [0, 0, 0], 120), (andrews_gordon_matrix(4), [0, 0, 0, 0], 24),
+], ids=["rr1", "rr2", "ag2", "ag3", "ag4"])
+def test_f_abc_matches_box_oracle_on_identities(a, b, order):
+    assert f_abc(a, b, Fraction(-1, 60), order) == _box_f_abc(a, b, Fraction(-1, 60), order)
+
+
+def _random_positive_definite(rng, r):
+    # integer entries, odd diagonals and negative off-diagonals allowed; the
+    # eigenvalue floor keeps the oracle's box small
+    while True:
+        a = [[0] * r for _ in range(r)]
+        for i in range(r):
+            a[i][i] = rng.randint(1, 7)
+            for j in range(i):
+                a[i][j] = a[j][i] = rng.randint(-3, 3)
+        if np.linalg.eigvalsh(np.array(a, dtype=float)).min() > 0.6:
+            return a
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_f_abc_matches_box_oracle_random(seed):
+    rng = random.Random(seed)
+    outcomes = {"series": 0, "raise": 0}
+    for _ in range(60):
+        r = rng.randint(1, 3)
+        a = _random_positive_definite(rng, r)
+        b = [Fraction(rng.randint(-6, 6), 2) for _ in range(r)]
+        c = Fraction(rng.randint(-60, 60), 60)
+        order = rng.randint(0, 14)
+        try:
+            expected = _box_f_abc(a, b, c, order)
+        except NonIntegralExponent:
+            with pytest.raises(NonIntegralExponent):
+                f_abc(a, b, c, order)
+            outcomes["raise"] += 1
+            continue
+        assert f_abc(a, b, c, order) == expected, (a, b, order)
+        outcomes["series"] += 1
+    # both sides of the contract are exercised
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+def test_f_abc_rank_six_andrews_gordon():
+    # out of reach of the box walk; Andrews-Gordon: prod over n != 0, +-7 mod 15
+    t0 = time.perf_counter()
+    lhs = f_abc(andrews_gordon_matrix(6), [0] * 6, 0, 40)
+    assert time.perf_counter() - t0 < 5.0
+    rhs = eta_like_product(set(range(1, 15)) - {7, 8}, 15, 40)
+    assert compare_series(lhs, rhs).passed
 
 
 def test_eta_like_product_values():
