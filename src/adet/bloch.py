@@ -16,7 +16,7 @@ D(z) + D(1-z) = D(z) + D(1/z) = 0, and the five-term relation.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath as mp
@@ -200,6 +200,7 @@ class CentralChargeProbe:
     value: object          # mpf: sum_i L(x_i) / L(1) at the positive solution
     rational: Fraction
     error: object          # mpf: |value - rational|
+    solution: object = field(compare=False)  # the positive Solution evaluated
 
 
 def central_charge_probe(pair, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CentralChargeProbe:
@@ -219,4 +220,4 @@ def central_charge_probe(pair, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Centr
                 f"no rational with denominator <= {4 * (pair.h + pair.hp)} within 1e-20 "
                 f"of {mp.nstr(value, 30)}"
             )
-    return CentralChargeProbe(pair=pair.label, value=value, rational=frac, error=err)
+    return CentralChargeProbe(pair=pair.label, value=value, rational=frac, error=err, solution=sol)

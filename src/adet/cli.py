@@ -307,7 +307,9 @@ def _cmd_qseries(args) -> VerificationReport:
             series = qseries.f_abc(a, b, args.c, order)
         except NonIntegralExponent:
             raise
-        except (TypeError, ValueError) as exc:  # A, B not an r x r positive-definite matrix and an r-vector
+        # A, B not an r x r positive-definite matrix and an r-vector; a JSON
+        # number too large for a float reads as inf, which Fraction rejects
+        except (TypeError, ValueError, OverflowError) as exc:
             raise argparse.ArgumentTypeError(f"--matrix {json.dumps(a)}: {exc}") from exc
         print(series.head(12))
         meta = {"order": order, "series": series.to_json_obj()}
@@ -334,10 +336,9 @@ def _cmd_report(args) -> VerificationReport:
     records = []
     meta = {"pair": pair.label, "matrix": nahm_matrix(pair.x, pair.xp).to_json_obj()}
 
-    sol = solver.solve_positive(pair, ctx)
-    records.append(CheckRecord.make("positive solution residual", sol.residual,
-                                    ctx.tau_res * args.tol_scale))
     probe = bloch.central_charge_probe(pair, ctx)
+    records.append(CheckRecord.make("positive solution residual", probe.solution.residual,
+                                    ctx.tau_res * args.tol_scale))
     meta["central_charge"] = str(probe.rational)
     records.append(CheckRecord.make(f"central-charge probe vs {probe.rational}", probe.error,
                                     1e-20 * args.tol_scale))

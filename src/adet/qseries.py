@@ -254,14 +254,12 @@ def eta_like_product(residues, modulus: int, trunc: int, prefactor_exp=Fraction(
     return PowerSeries(tuple(coeffs), trunc, Fraction(prefactor_exp))
 
 
-def compare_series(lhs: PowerSeries, rhs: PowerSeries, trunc: int | None = None) -> VerificationReport:
+def compare_series(lhs: PowerSeries, rhs: PowerSeries) -> VerificationReport:
     """Exact coefficientwise comparison up to the minimum truncation order."""
     import time
 
     t0 = time.perf_counter()
     n = min(lhs.trunc, rhs.trunc)
-    if trunc is not None:
-        n = min(n, trunc)
     mismatches = [k for k in range(n + 1) if lhs.coeffs[k] != rhs.coeffs[k]]
     pre_diff = abs(lhs.prefactor_exp - rhs.prefactor_exp)
     records = (

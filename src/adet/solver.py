@@ -41,6 +41,16 @@ DEDUP_TOL = 1e-10
 _FLOAT_DEDUP = 1e-6
 _DEGENERATE_MARGIN = 1e-8
 
+# Damped Newton: iteration caps, the step size that ends a run, and the
+# number of step halvings tried before a step is taken anyway.
+_FLOAT_MAX_ITER = 80
+_FLOAT_MIN_STEP = 1e-12
+_MP_MAX_ITER = 200
+_MP_MIN_STEP = "1e-30"
+_MAX_HALVINGS = 40
+_FIXED_POINT_ITERS = 400  # cap of the positive-cone sweep that seeds Newton
+_BRANCH_K_RANGE = 2  # |k_j| bound of the exhaustive branch search (n <= 4)
+
 
 def _map_values(values, fn):
     if not isinstance(values, (list, tuple, np.ndarray)):
@@ -128,13 +138,13 @@ class NahmPolynomialSystem:
         ]
 
 
-def _newton_float(system, y0, max_iter=80, min_step=1e-12, max_halvings=40):
+def _newton_float(system, y0):
     y = np.asarray(y0, dtype=complex)
     r = np.asarray(system.residual(y), dtype=complex)
     if not np.all(np.isfinite(r)):
         return None
     rnorm = np.max(np.abs(r))
-    for _ in range(max_iter):
+    for _ in range(_FLOAT_MAX_ITER):
         try:
             jac = np.asarray(system.jacobian(y), dtype=complex)
             dy = np.linalg.solve(jac, -r)
@@ -144,10 +154,10 @@ def _newton_float(system, y0, max_iter=80, min_step=1e-12, max_halvings=40):
             return None
         lam = 1.0
         accepted = False
-        for h in range(max_halvings + 1):
+        for h in range(_MAX_HALVINGS + 1):
             cand = y + lam * dy
             rc = np.asarray(system.residual(cand), dtype=complex)
-            if np.all(np.isfinite(rc)) and (np.max(np.abs(rc)) < rnorm or h == max_halvings):
+            if np.all(np.isfinite(rc)) and (np.max(np.abs(rc)) < rnorm or h == _MAX_HALVINGS):
                 accepted = np.max(np.abs(rc)) < rnorm
                 break
             lam *= 0.5
@@ -158,24 +168,19 @@ def _newton_float(system, y0, max_iter=80, min_step=1e-12, max_halvings=40):
         rnorm = np.max(np.abs(rc))
         if np.max(np.abs(y)) > 1e8:
             return None
-        if lam * np.max(np.abs(dy)) < min_step:
+        if lam * np.max(np.abs(dy)) < _FLOAT_MIN_STEP:
             break
     return y if rnorm < 1e-8 else None
 
 
-def _newton_mp(system, y0, ctx, *, min_step="1e-30", max_iter=200, max_halvings=40,
-               positive=False):
+def _newton_mp(system, y0, ctx):
     """Damped Newton at context precision; returns (y, info) or None."""
-    min_step = mp.mpf(min_step)
+    min_step = mp.mpf(_MP_MIN_STEP)
     with ctx.workprec(32):
-        if positive:
-            y = [mp.mpf(v) for v in y0]
-        else:
-            y = [to_mpc(v) for v in y0]
+        y = [to_mpc(v) for v in y0]
         steps = []
         converged = False
-        rnorm = mp.inf
-        for it in range(max_iter):
+        for _ in range(_MP_MAX_ITER):
             r = system.residual(y)
             rnorm = max(abs(v) for v in r)
             try:
@@ -184,23 +189,14 @@ def _newton_mp(system, y0, ctx, *, min_step="1e-30", max_iter=200, max_halvings=
             except (ZeroDivisionError, ValueError):
                 return None
             lam = mp.mpf(1)
-            cand = None
-            for h in range(max_halvings + 1):
+            for h in range(_MAX_HALVINGS + 1):
                 trial = [y[i] + lam * dy[i] for i in range(len(y))]
-                if positive and any(v <= 0 for v in trial):
-                    lam /= 2
-                    continue
-                rt = system.residual(trial)
-                rt_norm = max(abs(v) for v in rt)
-                if rt_norm < rnorm or h == max_halvings:
-                    cand = trial
+                if h == _MAX_HALVINGS or max(abs(v) for v in system.residual(trial)) < rnorm:
                     break
                 lam /= 2
-            if cand is None:
-                return None
             step = lam * max(abs(v) for v in dy)
             steps.append(step)
-            y = cand
+            y = trial
             if step < min_step:
                 converged = True
                 break
@@ -208,7 +204,6 @@ def _newton_mp(system, y0, ctx, *, min_step="1e-30", max_iter=200, max_halvings=
         info = {
             "iterations": len(steps),
             "converged": converged,
-            "steps": [mp.nstr(s, 8) for s in steps[-4:]],
             "step_norms": steps[-4:],
             "residual_norm": rfinal,
         }
@@ -280,15 +275,18 @@ class SearchBudget:
     rank_cap: int = 6
 
 
-def nahm_branch_diagnostics(pair: PairIndexing, x, ctx: PrecisionContext = DEFAULT_CONTEXT,
-                            k_range: int = 2) -> dict:
+def nahm_branch_diagnostics(pair: PairIndexing, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> dict:
     """Check x_i = prod_j (1-x_j)^{a_ij} under explicit branch bookkeeping.
 
     principal_residual uses exp(sum_j a_ij Log(1-x_j)) with the principal Log.
     A consistent branch choice assigns one integer k_j to each Log(1-x_j);
     the defect reported is the distance of delta - A k from the integer
-    lattice, minimized over small k (|k_j| <= k_range, searched exhaustively
-    for n <= 4, k = 0 only otherwise).
+    lattice, minimized over small k (|k_j| <= 2, searched exhaustively for
+    n <= 4, k = 0 only otherwise).
+
+    Limit: for n > 4 a genuine solution whose consistent branch needs some
+    k != 0 reports branch_ok False (two of the three E6,A1 solutions do), so
+    branch_ok False is no evidence against a solution when n > 4.
     """
     a = nahm_matrix(pair.x, pair.xp)
     n = pair.n
@@ -310,7 +308,7 @@ def nahm_branch_diagnostics(pair: PairIndexing, x, ctx: PrecisionContext = DEFAU
             return worst
 
         if n <= 4:
-            candidates = sorted(product(range(-k_range, k_range + 1), repeat=n),
+            candidates = sorted(product(range(-_BRANCH_K_RANGE, _BRANCH_K_RANGE + 1), repeat=n),
                                 key=lambda kv: sum(abs(v) for v in kv))
         else:
             candidates = [tuple([0] * n)]
@@ -337,7 +335,7 @@ def _sort_key(y):
     return tuple((float(mp.re(v)), float(mp.im(v))) for v in y)
 
 
-def _positive_fixed_point(pair: PairIndexing, iters: int = 400):
+def _positive_fixed_point(pair: PairIndexing):
     """Multiplicative iteration y <- sqrt(rhs(y)) from the all-ones vector.
 
     rhs is the right-hand side of the constant Y-system; the map preserves
@@ -345,7 +343,7 @@ def _positive_fixed_point(pair: PairIndexing, iters: int = 400):
     quadratic finish to Newton.
     """
     y = [mp.mpf(1)] * pair.n
-    for _ in range(iters):
+    for _ in range(_FIXED_POINT_ITERS):
         new = []
         for ups, downs in pair.factors:
             num = mp.mpf(1)
@@ -362,28 +360,16 @@ def _positive_fixed_point(pair: PairIndexing, iters: int = 400):
 
 
 def solve_positive(pair: PairIndexing, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Solution:
-    """The solution with all x_i in (0, 1), from the x = 1/2 center.
+    """The solution with all x_i in (0, 1), from one fixed-point start.
 
-    In y coordinates the start is the all-ones vector, driven into the
-    attracting basin by the cone-preserving fixed-point iteration and then
-    polished by damped Newton.
+    The start is the all-ones vector in y coordinates (x = 1/2), driven into
+    the attracting basin by the cone-preserving fixed-point iteration; one
+    damped Newton run then polishes it.  Raises NoConvergence when that run
+    fails, misses tau_res or leaves (0, 1).
     """
     system = NahmPolynomialSystem(pair)
     with ctx.workprec(32):
-        n = pair.n
-        # The all-ones start (x = 1/2) may sit on a symmetry locus with a
-        # singular Jacobian, and plain damping can stall against the cone
-        # boundary; the fixed-point sweep and asymmetric fallbacks cover both.
-        starts = [
-            _positive_fixed_point(pair),
-            [mp.mpf(1)] * n,
-            [1 + mp.mpf(k + 1) / (7 * n) for k in range(n)],
-        ]
-        result = None
-        for y0 in starts:
-            result = _newton_mp(system, y0, ctx, positive=True)
-            if result is not None and result[1]["converged"]:
-                break
+        result = _newton_mp(system, _positive_fixed_point(pair), ctx)
         if result is None:
             raise NoConvergence(f"positive solve failed for {pair.label}")
         y, info = result

@@ -6,29 +6,23 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-import adet
 from adet import (
     PrecisionContext,
     SearchBudget,
     adjacency_matrix,
-    bloch_wigner,
     central_charge_probe,
-    check_periodicity,
+    cli,
     compare_series,
     coxeter_number,
-    dilog_sum_over_Splus,
     eta_like_product,
     f_abc,
-    five_term_residual,
-    iterate,
     parse_diagram,
     solve_all,
     solve_positive,
-    torsion_check,
     wedge_form_residual,
 )
 
-from conftest import ACCEPT_PAIRS, pair, sample_points
+from conftest import ACCEPT_PAIRS, pair
 
 CTX128 = PrecisionContext(mantissa_bits=128)
 CTX256 = PrecisionContext(mantissa_bits=256)
@@ -40,22 +34,26 @@ def report(line):
     print(line, flush=True)
 
 
+def gate(records, tolerance, what):
+    """Assert every record passed at the pinned tolerance; the largest residual."""
+    assert all(r.tolerance == tolerance for r in records), what
+    failed = [(r.name, r.residual_str) for r in records if not r.passed]
+    assert records and not failed, (what, failed)
+    return max(r.residual for r in records)
+
+
 def test_criterion_1_torsion_over_all_solutions():
     # every multistart solution of every pair satisfies |sum_i D(x_i)| < 1e-18
     t0 = time.time()
-    worst = mp.mpf(0)
+    worst = 0.0
     total = 0
     for label in ACCEPT_PAIRS:
-        p = pair(label)
-        sols = solve_all(p, SearchBudget(starts=2000, seed=0), CTX128)
-        assert sols.solutions, f"no solutions found for {label}"
-        rep = torsion_check(sols, CTX128)
-        total += len(sols.solutions)
-        worst = max(worst, max(r.residual for r in rep.records))
-        assert rep.passed, (label, [r.residual for r in rep.records])
+        records, sols = cli._check_torsion(pair(label), CTX128, 2000, 0, 1.0)
+        total += len(sols)
+        worst = max(worst, gate(records, 1e-18, label))
     elapsed = time.time() - t0
     report(f"ACCEPTANCE 1 (torsion criterion): PASS  "
-           f"max |sum D(x)| = {mp.nstr(worst, 4)} over {total} solutions, {elapsed:.1f}s")
+           f"max |sum D(x)| = {worst:.3e} over {total} solutions, {elapsed:.1f}s")
     assert elapsed < 300
 
 
@@ -81,13 +79,8 @@ def test_criterion_3_periodicity():
     rng = np.random.default_rng(0)
     worst = 0.0
     for label in PERIODICITY_PAIRS:
-        p = pair(label)
-        for _ in range(20):
-            y = list(rng.uniform(0.5, 2.0, p.n))
-            traj = iterate(p, y, 2 * p.period, CTX256)
-            rep = check_periodicity(traj, CTX256)
-            worst = max(worst, rep.records[0].residual)
-            assert rep.records[0].residual < 1e-25, label
+        records = cli._check_periodicity(pair(label), CTX256, rng, 20, 1.0)
+        worst = max(worst, gate(records, 1e-25, label))
     elapsed = time.time() - t0
     report(f"ACCEPTANCE 3 (periodicity): PASS  max residual {worst:.3e} "
            f"over {len(PERIODICITY_PAIRS)} pairs x 20 seeds, {elapsed:.1f}s")
@@ -98,11 +91,8 @@ def test_criterion_4_wedge_and_multiplicity_control():
     rng = np.random.default_rng(1)
     worst = 0.0
     for label in PERIODICITY_PAIRS:  # every pair here has rank product <= 6
-        p = pair(label)
-        for pt in sample_points(p, 5, rng):
-            w = wedge_form_residual(p, pt, CTX128)
-            worst = max(worst, w.residual)
-            assert w.residual < 1e-18, label
+        records = cli._check_points(pair(label), CTX128, rng, 5, 1.0, ("wedge",))
+        worst = max(worst, gate(records, 1e-18, label))
     # negative control: one multiplicity d lowered from 2 to 1 for (T1,T1),
     # in the two-point realization (the rank-1 single-point form is vacuous)
     p = pair("T1,T1")
@@ -111,44 +101,25 @@ def test_criterion_4_wedge_and_multiplicity_control():
     bad = wedge_form_residual(p, [1.3], CTX128, point_b=[0.7], d_override={first: 1})
     assert ok.residual < 1e-18
     assert bad.residual > 1e-3
-    report(f"ACCEPTANCE 4 (constancy/wedge): PASS  max residual {mp.nstr(mp.mpf(worst), 4)}; "
+    report(f"ACCEPTANCE 4 (constancy/wedge): PASS  max residual {worst:.3e}; "
            f"(T1,T1) d-control {mp.nstr(bad.residual, 4)} > 1e-3")
 
 
 def test_criterion_5_dilog_sum_vanishing():
     rng = np.random.default_rng(2)
-    worst = mp.mpf(0)
+    worst = 0.0
     for label in ACCEPT_PAIRS:
-        p = pair(label)
-        for pt in sample_points(p, 10, rng):
-            s = dilog_sum_over_Splus(p, pt, CTX128)
-            worst = max(worst, abs(s))
-            assert abs(s) < 1e-18, label
-    report(f"ACCEPTANCE 5 (dilog-sum vanishing): PASS  max |sum| = {mp.nstr(worst, 4)}")
+        records = cli._check_points(pair(label), CTX128, rng, 10, 1.0, ("dilogsum",))
+        worst = max(worst, gate(records, 1e-18, label))
+    report(f"ACCEPTANCE 5 (dilog-sum vanishing): PASS  max |sum| = {worst:.3e}")
 
 
 def test_criterion_6_functional_equations():
     rng = np.random.default_rng(3)
-    worst_five = worst_refl = worst_inv = mp.mpf(0)
-    with CTX128.workprec():
-        for _ in range(1000):
-            r = 2 * np.sqrt(rng.uniform(0, 1, 2))
-            t = rng.uniform(0, 2 * np.pi, 2)
-            x, y = (r * np.exp(1j * t)).tolist()
-            worst_five = max(worst_five, five_term_residual(x, y, CTX128))
-            if x != 0:
-                xx = mp.mpc(x)  # derived arguments at working precision
-                worst_refl = max(
-                    worst_refl, abs(bloch_wigner(xx, CTX128) + bloch_wigner(1 - xx, CTX128))
-                )
-                worst_inv = max(
-                    worst_inv, abs(bloch_wigner(xx, CTX128) + bloch_wigner(1 / xx, CTX128))
-                )
-    assert worst_five < 1e-30
-    assert worst_refl < 1e-30
-    assert worst_inv < 1e-30
-    report(f"ACCEPTANCE 6 (functional equations): PASS  five-term {mp.nstr(worst_five, 4)}, "
-           f"reflection {mp.nstr(worst_refl, 4)}, inversion {mp.nstr(worst_inv, 4)}")
+    five, refl, inv = cli._check_fiveterm(CTX128, rng, 1000, 1.0)
+    gate([five, refl, inv], 1e-30, "functional equations")
+    report(f"ACCEPTANCE 6 (functional equations): PASS  five-term {five.residual:.3e}, "
+           f"reflection {refl.residual:.3e}, inversion {inv.residual:.3e}")
 
 
 def test_criterion_7_q_series_identities():

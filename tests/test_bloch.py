@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -237,3 +238,6 @@ def test_central_charge_probe(label, ctx128):
     assert probe.error < 1e-20
     p = pair(label)
     assert probe.rational.denominator <= 4 * (p.h + p.hp)
+    # the carried solution takes no part in equality or hashing
+    assert probe == dataclasses.replace(probe, solution=None)
+    assert hash(probe) == hash(dataclasses.replace(probe, solution=None))

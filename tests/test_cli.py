@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from adet import PrecisionContext, central_charge_probe, solver
 from adet.cli import run
-from adet.report import VerificationReport
+from adet.report import CheckRecord, VerificationReport
 
 
 def test_matrix_prints_kronecker(capsys):
@@ -112,6 +113,29 @@ def test_report_aggregates(tmp_path, capsys):
     assert "PASS" in out
 
 
+def test_report_solves_positive_once(tmp_path, monkeypatch, capsys):
+    # the central-charge probe hands its positive solution to the residual record
+    calls = []
+    solve_positive = solver.solve_positive
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_positive(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_positive", counted)
+    path = tmp_path / "r.json"
+    assert run(["--json", str(path), "report", "--pair", "A1,T1", "--starts", "200",
+                "--points", "1", "--seeds", "1"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+    ctx = PrecisionContext()
+    probe = central_charge_probe(calls[0][0], ctx)
+    record = next(r for r in json.loads(path.read_text())["records"]
+                  if r["name"] == "positive solution residual")
+    assert CheckRecord.from_json_obj(record) == CheckRecord.make(
+        "positive solution residual", probe.solution.residual, ctx.tau_res)
+
+
 def test_report_records_match_verify(tmp_path, capsys):
     # report and verify share one function per check family: same seed, same records
     def records(argv):
@@ -171,9 +195,12 @@ def test_precision_below_53_bits_exits_2(capsys):
 
 @pytest.mark.parametrize("matrix, fragment", [
     ("[[-1]]", "positive definite"), ("[[2", "bad JSON"), ("5", "--matrix 5"), ("[[2, 1]]", "r x r"),
+    # JSON reads 1e400 as inf, which no Fraction holds; a tuple case adds --b
+    ("[[1e400]]", "Infinity"), (("[[2]]", "--b", "[1e400]"), "Infinity"),
 ])
 def test_qseries_custom_bad_matrix_exits_2(matrix, fragment, capsys):
-    _assert_bad_input(["qseries", "custom", "--matrix", matrix], capsys, fragment)
+    argv = [matrix] if isinstance(matrix, str) else list(matrix)
+    _assert_bad_input(["qseries", "custom", "--matrix", *argv], capsys, fragment)
 
 
 @pytest.mark.parametrize("residues, modulus, fragment", [
