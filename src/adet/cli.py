@@ -301,14 +301,23 @@ def _cmd_qseries(args) -> VerificationReport:
         if (args.residues is None) != (args.modulus is None):
             raise argparse.ArgumentTypeError(
                 "qseries custom: --residues and --modulus must be given together")
-        a = args.matrix
+        a, b = args.matrix, args.b
+        if b:
+            # B is checked on its own first, so that its faults name --b
+            try:
+                bvec = [Fraction(v) for v in b]
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise argparse.ArgumentTypeError(f"--b {json.dumps(b)}: {exc}") from exc
+            if isinstance(a, list) and len(bvec) != len(a):
+                raise argparse.ArgumentTypeError(
+                    f"--b {json.dumps(b)}: length {len(bvec)}, expected {len(a)} "
+                    "(one entry per matrix row)")
         try:
-            b = args.b if args.b else [0] * len(a)
-            series = qseries.f_abc(a, b, args.c, order)
+            series = qseries.f_abc(a, b or [0] * len(a), args.c, order)
         except NonIntegralExponent:
             raise
-        # A, B not an r x r positive-definite matrix and an r-vector; a JSON
-        # number too large for a float reads as inf, which Fraction rejects
+        # A not an r x r positive-definite matrix; a JSON number too large
+        # for a float reads as inf, which Fraction rejects
         except (TypeError, ValueError, OverflowError) as exc:
             raise argparse.ArgumentTypeError(f"--matrix {json.dumps(a)}: {exc}") from exc
         print(series.head(12))

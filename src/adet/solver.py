@@ -9,8 +9,10 @@ a polynomial system with integer exponents taken from the adjacency matrices
 
 for a = (i, i').  Solutions with any component at 0 or -1 are degenerate
 artifacts of the clearing and are discarded.  Root finding is multistart
-damped Newton: a cheap complex128 sweep locates basins, and every distinct
-candidate is polished with mpmath Newton at the context precision.
+damped Newton: one complex128 run over all starts at once (a batch of
+Jacobian solves per step) locates basins, and every distinct candidate is
+polished with mpmath Newton at the context precision, which gives up on a
+linear crawl.
 """
 from __future__ import annotations
 
@@ -42,10 +44,12 @@ _FLOAT_DEDUP = 1e-6
 _DEGENERATE_MARGIN = 1e-8
 
 # Damped Newton: iteration caps, the step size that ends a run, and the
-# number of step halvings tried before a step is taken anyway.
+# number of step halvings tried (then the mp polish takes the step anyway,
+# and a float run ends).
 _FLOAT_MAX_ITER = 80
 _FLOAT_MIN_STEP = 1e-12
 _MP_MAX_ITER = 200
+_MP_CRAWL_STEPS = 5  # mp steps in a row that fail to halve the one before end a run
 _MP_MIN_STEP = "1e-30"
 _MAX_HALVINGS = 40
 _FIXED_POINT_ITERS = 400  # cap of the positive-cone sweep that seeds Newton
@@ -84,7 +88,8 @@ class NahmPolynomialSystem:
     """Residual/Jacobian evaluator for the cleared constant Y-system.
 
     Polymorphic over the scalar type: works with complex128 and mpmath
-    numbers alike (only +, *, ** int are used).
+    numbers and with the _Columns of a float batch alike (only +, -, * and
+    ** int are used).
     """
 
     def __init__(self, pair: PairIndexing):
@@ -138,48 +143,161 @@ class NahmPolynomialSystem:
         ]
 
 
-def _newton_float(system, y0):
-    y = np.asarray(y0, dtype=complex)
-    r = np.asarray(system.residual(y), dtype=complex)
-    if not np.all(np.isfinite(r)):
-        return None
-    rnorm = np.max(np.abs(r))
+class _Columns:
+    """A column of complex128 values held as float64 real and imaginary parts.
+
+    The arithmetic is numpy's scalar complex128 arithmetic, written out in
+    float64 array operations, so each row rounds exactly as one scalar start
+    would.  numpy's complex array multiply may fuse multiply-adds: its float
+    roots differ in the last bits, and some degenerate-hit and
+    polish-rejection counts moved with them.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re, self.im = re, im
+
+    @staticmethod
+    def _parts(v):
+        return (v.re, v.im) if isinstance(v, _Columns) else (v, 0.0)
+
+    def __add__(self, other):
+        br, bi = self._parts(other)
+        return _Columns(self.re + br, self.im + bi)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        br, bi = self._parts(other)
+        return _Columns(self.re - br, self.im - bi)
+
+    def __rsub__(self, other):
+        return _Columns(other - self.re, 0.0 - self.im)
+
+    def __mul__(self, other):
+        br, bi = self._parts(other)
+        return _Columns(self.re * br - self.im * bi, self.re * bi + self.im * br)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, m):
+        # numpy's scalar power multiplies out the exponents used here (1 and
+        # 2) and returns +0 for a zero base
+        out = self
+        for _ in range(m - 1):
+            out = self * out
+        zero = (self.re == 0) & (self.im == 0)
+        return _Columns(np.where(zero, 0.0, out.re), np.where(zero, 0.0, out.im))
+
+
+def _stack(entries, rows):
+    """(rows, len(entries)) complex array from evaluator entries that are
+    _Columns or the constants 0 and 1."""
+    out = np.zeros((rows, len(entries)), dtype=complex)
+    for j, e in enumerate(entries):
+        if isinstance(e, _Columns):
+            out.real[:, j], out.imag[:, j] = e.re, e.im
+        else:
+            out[:, j] = e
+    return out
+
+
+def _solve_rows(jac, rhs):
+    """Solve jac[i] dy[i] = rhs[i] for every row at once; a singular row is
+    solved on its own and marked False in the returned mask."""
+    ok = np.ones(len(rhs), dtype=bool)
+    try:
+        return np.linalg.solve(jac, rhs[..., None])[..., 0], ok
+    except np.linalg.LinAlgError:
+        dy = np.zeros_like(rhs)
+        for i in range(len(rhs)):
+            try:
+                dy[i] = np.linalg.solve(jac[i], rhs[i])
+            except np.linalg.LinAlgError:
+                ok[i] = False
+        return dy, ok
+
+
+def _newton_batch(system, seeds):
+    """Damped complex128 Newton from every row of seeds (starts x n) at once.
+
+    Returns one entry per row: its root, or None.  Each row runs on its own:
+    a row with a non-finite residual, a singular Jacobian or a non-finite
+    step has no root; otherwise a step is halved until the residual norm
+    drops, and the run ends when no halving drops it, when |y| > 1e8 (no
+    root), when the step is below _FLOAT_MIN_STEP or at _FLOAT_MAX_ITER.
+    A row whose run ends is a root if its residual norm is below 1e-8.
+    """
+    starts, n = seeds.shape
+
+    def columns(y):
+        return [_Columns(col.real, col.imag) for col in y.T]
+
+    def residual(y):
+        return _stack(system.residual(columns(y)), len(y))
+
+    def jacobian(y):
+        return np.stack([_stack(row, len(y)) for row in system.jacobian(columns(y))], axis=1)
+
+    y = np.array(seeds, dtype=complex)
+    r = residual(y)
+    rnorm = np.max(np.abs(r), axis=1)
+    live = np.all(np.isfinite(r), axis=1)  # rows still iterating
+    ended = np.zeros(starts, dtype=bool)  # rows whose run ended with a final y
     for _ in range(_FLOAT_MAX_ITER):
-        try:
-            jac = np.asarray(system.jacobian(y), dtype=complex)
-            dy = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(dy)):
-            return None
-        lam = 1.0
-        accepted = False
-        for h in range(_MAX_HALVINGS + 1):
-            cand = y + lam * dy
-            rc = np.asarray(system.residual(cand), dtype=complex)
-            if np.all(np.isfinite(rc)) and (np.max(np.abs(rc)) < rnorm or h == _MAX_HALVINGS):
-                accepted = np.max(np.abs(rc)) < rnorm
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
+            break
+        dy, ok = _solve_rows(jacobian(y[rows]), -r[rows])
+        ok &= np.all(np.isfinite(dy), axis=1)
+        live[rows[~ok]] = False
+        rows, dy = rows[ok], dy[ok]
+        # the full step first; then, for the rows it fails, every halving at
+        # once, of which each row takes the first that drops its residual
+        lam = np.ones(rows.size)
+        accepted = np.zeros(rows.size, dtype=bool)
+        for halvings in (np.arange(1), np.arange(1, _MAX_HALVINGS + 1)):
+            pending = np.flatnonzero(~accepted)
+            if pending.size == 0:
                 break
-            lam *= 0.5
-        if not accepted:
-            break
-        y = cand
-        r = rc
-        rnorm = np.max(np.abs(rc))
-        if np.max(np.abs(y)) > 1e8:
-            return None
-        if lam * np.max(np.abs(dy)) < _FLOAT_MIN_STEP:
-            break
-    return y if rnorm < 1e-8 else None
+            lams = 0.5 ** halvings
+            cand = y[rows[pending], None] + lams[:, None] * dy[pending, None]
+            rc = residual(cand.reshape(-1, n)).reshape(cand.shape)
+            norm = np.max(np.abs(rc), axis=2)
+            better = np.all(np.isfinite(rc), axis=2) & (norm < rnorm[rows[pending], None])
+            hit = np.flatnonzero(better.any(axis=1))
+            first = better[hit].argmax(axis=1)
+            take = rows[pending[hit]]
+            y[take], r[take], rnorm[take] = cand[hit, first], rc[hit, first], norm[hit, first]
+            lam[pending[hit]] = lams[first]
+            accepted[pending[hit]] = True
+        stalled = rows[~accepted]
+        live[stalled] = False
+        ended[stalled] = True
+        rows, lam, dy = rows[accepted], lam[accepted], dy[accepted]
+        far = np.max(np.abs(y[rows]), axis=1) > 1e8
+        small = ~far & (lam * np.max(np.abs(dy), axis=1) < _FLOAT_MIN_STEP)
+        live[rows[far | small]] = False
+        ended[rows[small]] = True
+    ended |= live
+    return [y[i] if ended[i] and rnorm[i] < 1e-8 else None for i in range(starts)]
 
 
 def _newton_mp(system, y0, ctx):
-    """Damped Newton at context precision; returns (y, info) or None."""
+    """Damped Newton at context precision; returns (y, info) or None.
+
+    The run ends converged once a step is below _MP_MIN_STEP.  It ends
+    unconverged at _MP_MAX_ITER, or once _MP_CRAWL_STEPS steps in a row each
+    fail to halve the one before: a linear crawl, as toward the cleared locus
+    1 + y = 0, that quadratic convergence to a simple root never shows.
+    """
     min_step = mp.mpf(_MP_MIN_STEP)
     with ctx.workprec(32):
         y = [to_mpc(v) for v in y0]
         steps = []
         converged = False
+        crawl = 0
         for _ in range(_MP_MAX_ITER):
             r = system.residual(y)
             rnorm = max(abs(v) for v in r)
@@ -195,10 +313,13 @@ def _newton_mp(system, y0, ctx):
                     break
                 lam /= 2
             step = lam * max(abs(v) for v in dy)
+            crawl = crawl + 1 if steps and 2 * step > steps[-1] else 0
             steps.append(step)
             y = trial
             if step < min_step:
                 converged = True
+                break
+            if crawl == _MP_CRAWL_STEPS:
                 break
         rfinal = max(abs(v) for v in system.residual(y))
         info = {
@@ -398,12 +519,15 @@ def solve_all(pair: PairIndexing, budget: SearchBudget | None = None,
     """Multistart Newton enumeration of nondegenerate solutions.
 
     Seeds are componentwise r*exp(i*theta) with log r uniform in [-1, 1] and
-    theta uniform in [0, 2*pi).  Converged float candidates are deduplicated,
-    polished at context precision, filtered against degenerate components and
-    tau_res, joined by the all-positive solution (polished from the same
-    fixed-point start as `solve_positive`), closed under complex
-    conjugation, and deduplicated again at
-    max-norm tolerance 1e-10.  Determined entirely by (starts, seed, ctx).
+    theta uniform in [0, 2*pi).  All starts run as one batch of complex128
+    damped Newton (`_newton_batch`); each row rounds as a run of its own
+    would.  Converged float candidates are deduplicated, polished at context
+    precision (a polish that only crawls linearly, as toward the cleared
+    locus 1 + y = 0, ends unconverged after _MP_CRAWL_STEPS steps), filtered
+    against degenerate components and tau_res, joined by the all-positive
+    solution (polished from the same fixed-point start as `solve_positive`),
+    closed under complex conjugation, and deduplicated again at max-norm
+    tolerance 1e-10.  Determined entirely by (starts, seed, ctx).
     """
     budget = budget or SearchBudget()
     if pair.n > budget.rank_cap:
@@ -419,8 +543,7 @@ def solve_all(pair: PairIndexing, budget: SearchBudget | None = None,
 
     reps: list[list] = []  # [y_float, basin_count]
     stats = {"converged_starts": 0, "degenerate_hits": 0, "polish_rejections": 0}
-    for s in range(budget.starts):
-        root = _newton_float(system, seeds[s])
+    for root in _newton_batch(system, seeds):
         if root is None:
             continue
         stats["converged_starts"] += 1

@@ -203,6 +203,21 @@ def test_qseries_custom_bad_matrix_exits_2(matrix, fragment, capsys):
     _assert_bad_input(["qseries", "custom", "--matrix", *argv], capsys, fragment)
 
 
+@pytest.mark.parametrize("matrix, b, fragment, other", [
+    # an overflowing entry and a wrong length are faults of --b, not of the matrix
+    ("[[2]]", "[1e400]", "--b [Infinity]: cannot convert Infinity", "--matrix"),
+    ("[[2]]", "[0, 1]", "--b [0, 1]: length 2, expected 1", "--matrix"),
+    ("[[2, 1], [1, 2]]", "[0]", "--b [0]: length 1, expected 2", "--matrix"),
+    # a valid --b leaves a fault of the matrix named --matrix
+    ("[[2, 1]]", "[0]", "--matrix [[2, 1]]: ", "--b"),
+])
+def test_qseries_custom_bad_input_names_its_flag(matrix, b, fragment, other, capsys):
+    assert run(["qseries", "custom", "--matrix", matrix, "--b", b, "--N", "5"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    assert err.startswith("error: ") and fragment in err and other not in err, err
+
+
 @pytest.mark.parametrize("residues, modulus, fragment", [
     ("1,x", "5", "--residues"), ("7", "5", "must lie in 1..4"), ("1,4", "0", "positive integer"),
 ])

@@ -15,6 +15,7 @@ from adet import (
     y_step,
     y_to_x,
 )
+from adet import solver
 from adet.errors import PoleInput
 
 from conftest import ACCEPT_PAIRS, pair
@@ -138,6 +139,89 @@ def test_solve_positive_contraction(ctx128):
     assert all(b < a for a, b in zip(steps, steps[1:]))
 
 
+# Newton iterations of the positive solution's polish, the same at 128 and
+# 256 bits; the crawl stop must not cut any of these runs short
+POSITIVE_ITERATIONS = {
+    "A1,A1": 1, "A1,T1": 3, "A1,T2": 3, "A2,A1": 3, "A2,T1": 1,
+    "A1,A2": 3, "A3,A1": 3, "T1,T1": 1, "D4,A1": 3, "E6,A1": 3,
+}
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_solve_positive_iterations_unchanged(bits):
+    ctx = adet.PrecisionContext(bits)
+    got = {label: solve_positive(pair(label), ctx).newton for label in POSITIVE_ITERATIONS}
+    assert all(info["converged"] for info in got.values())
+    assert {label: info["iterations"] for label, info in got.items()} == POSITIVE_ITERATIONS
+
+
+def test_newton_mp_stops_on_a_crawl(ctx128):
+    # next to the cleared locus y = (-1, -1) of A2,T1 the steps barely shrink;
+    # the run used to take all 200 iterations before giving up
+    system = NahmPolynomialSystem(pair("A2,T1"))
+    y, info = solver._newton_mp(system, [-1 + 4e-5j, -1 - 4e-5j], ctx128)
+    assert not info["converged"]
+    assert info["iterations"] <= 12
+    steps = info["step_norms"]
+    assert all(2 * b > a for a, b in zip(steps, steps[1:]))
+
+
+def _random_seeds(label, starts, seed):
+    n = pair(label).n
+    rng = np.random.default_rng(seed)
+    return np.exp(rng.uniform(-1, 1, (starts, n))) * np.exp(1j * rng.uniform(0, 2 * np.pi, (starts, n)))
+
+
+def _same_roots(a, b):
+    # bit for bit, None where the other is None
+    return len(a) == len(b) and all(
+        (u is None and v is None) or (u is not None and v is not None and u.tobytes() == v.tobytes())
+        for u, v in zip(a, b))
+
+
+@pytest.mark.parametrize("label", ["A1,T2", "A3,A2", "E6,A1"])
+def test_float_batch_evaluates_like_scalars(label):
+    # the batched evaluator rounds like numpy's scalar complex128 arithmetic,
+    # bit for bit, signed zeros included (y = -1 and y = -0 are in the rows)
+    p = pair(label)
+    system = NahmPolynomialSystem(p)
+    ys = _random_seeds(label, 20, 2) * 3
+    ys[0], ys[1, 0], ys[2] = -1, 0, complex(-0.0, -0.0)
+    cols = [solver._Columns(c.real.copy(), c.imag.copy()) for c in ys.T]
+    res = solver._stack(system.residual(cols), len(ys))
+    jac = np.stack([solver._stack(row, len(ys)) for row in system.jacobian(cols)], axis=1)
+    for i, y in enumerate(ys):
+        assert np.asarray(system.residual(y), dtype=complex).tobytes() == res[i].tobytes(), i
+        assert np.asarray(system.jacobian(y), dtype=complex).tobytes() == jac[i].tobytes(), i
+
+
+@pytest.mark.parametrize("label", ["A2,T1", "A3,A2", "E6,A1"])
+def test_float_batch_rows_are_independent(label):
+    system = NahmPolynomialSystem(pair(label))
+    seeds = _random_seeds(label, 120, 1)
+    full = solver._newton_batch(system, seeds)
+    assert any(r is not None for r in full)
+    perm = np.random.default_rng(7).permutation(len(seeds))
+    assert _same_roots(solver._newton_batch(system, seeds[perm]), [full[i] for i in perm])
+    for i in range(0, len(seeds), 10):
+        assert _same_roots(solver._newton_batch(system, seeds[i:i + 1]), full[i:i + 1]), i
+
+
+def test_float_batch_singular_row_drops_alone():
+    # the A1,T2 Jacobian at y = (-1, -1) is [[0, 0], [1, 1]]: one batched
+    # solve fails, and only that row loses its root
+    system = NahmPolynomialSystem(pair("A1,T2"))
+    seeds = _random_seeds("A1,T2", 40, 3)
+    singular = np.array([[-1, -1]], dtype=complex)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(np.zeros((1, 2, 2)), np.ones((1, 2, 1)))
+    mixed = solver._newton_batch(system, np.concatenate([seeds[:7], singular, seeds[7:]]))
+    assert mixed[7] is None
+    plain = solver._newton_batch(system, seeds)
+    assert _same_roots(mixed[:7] + mixed[8:], plain)
+    assert sum(r is not None for r in plain) > 30
+
+
 def test_solve_all_closed_forms(ctx128):
     sols = solve_all(pair("A1,T1"), SearchBudget(starts=800, seed=0), ctx128)
     assert len(sols.solutions) == 2
@@ -237,3 +321,12 @@ def test_solve_all_determinism(ctx128):
     a = solve_all(pair("A1,T2"), SearchBudget(starts=500, seed=42), ctx128)
     b = solve_all(pair("A1,T2"), SearchBudget(starts=500, seed=42), ctx128)
     assert a.to_json_obj() == b.to_json_obj()
+
+
+def test_solve_all_crawl_stop_keeps_outcome(ctx128):
+    # at the CLI's default budget A2,T1 rejects 29 polished candidates, most
+    # crawling toward y = (-1, -1); the crawl stop ends those runs early and
+    # rejects the same ones
+    sols = solve_all(pair("A2,T1"), SearchBudget(2000, 0), ctx128)
+    assert len(sols.solutions) == SOLUTION_COUNTS["A2,T1"]
+    assert sols.meta == {"converged_starts": 1998, "degenerate_hits": 1904, "polish_rejections": 29}
