@@ -52,6 +52,10 @@ _MP_MAX_ITER = 200
 _MP_CRAWL_STEPS = 5  # mp steps in a row that fail to halve the one before end a run
 _MP_MIN_STEP = "1e-30"
 _MAX_HALVINGS = 40
+# halvings a float step tries at once: the full step, then blocks of 8,
+# so that a batch holds at most 8 candidates per pending row
+_HALVING_BLOCKS = (np.arange(1),) + tuple(
+    np.arange(h, min(h + 8, _MAX_HALVINGS + 1)) for h in range(1, _MAX_HALVINGS + 1, 8))
 _FIXED_POINT_ITERS = 400  # cap of the positive-cone sweep that seeds Newton
 _BRANCH_K_RANGE = 2  # |k_j| bound of the exhaustive branch search (n <= 4)
 
@@ -253,11 +257,11 @@ def _newton_batch(system, seeds):
         ok &= np.all(np.isfinite(dy), axis=1)
         live[rows[~ok]] = False
         rows, dy = rows[ok], dy[ok]
-        # the full step first; then, for the rows it fails, every halving at
-        # once, of which each row takes the first that drops its residual
+        # the full step first; then, for the rows it fails, the halvings in
+        # blocks, of which each row takes the first that drops its residual
         lam = np.ones(rows.size)
         accepted = np.zeros(rows.size, dtype=bool)
-        for halvings in (np.arange(1), np.arange(1, _MAX_HALVINGS + 1)):
+        for halvings in _HALVING_BLOCKS:
             pending = np.flatnonzero(~accepted)
             if pending.size == 0:
                 break

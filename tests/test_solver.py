@@ -195,6 +195,47 @@ def test_float_batch_evaluates_like_scalars(label):
         assert np.asarray(system.jacobian(y), dtype=complex).tobytes() == jac[i].tobytes(), i
 
 
+def _newton_one_start(system, y0):
+    """Reference: the per-start float Newton that the batch replaced."""
+    y = np.asarray(y0, dtype=complex)
+    r = np.asarray(system.residual(y), dtype=complex)
+    if not np.all(np.isfinite(r)):
+        return None
+    rnorm = np.max(np.abs(r))
+    for _ in range(solver._FLOAT_MAX_ITER):
+        try:
+            dy = np.linalg.solve(np.asarray(system.jacobian(y), dtype=complex), -r)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(dy)):
+            return None
+        lam = 1.0
+        for _ in range(solver._MAX_HALVINGS + 1):
+            cand = y + lam * dy
+            rc = np.asarray(system.residual(cand), dtype=complex)
+            if np.all(np.isfinite(rc)) and np.max(np.abs(rc)) < rnorm:
+                break
+            lam *= 0.5
+        else:
+            break  # no halving drops the residual: the run ends here
+        y, r, rnorm = cand, rc, np.max(np.abs(rc))
+        if np.max(np.abs(y)) > 1e8:
+            return None
+        if lam * np.max(np.abs(dy)) < solver._FLOAT_MIN_STEP:
+            break
+    return y if rnorm < 1e-8 else None
+
+
+@pytest.mark.parametrize("label", ["A1,T2", "A2,T1", "A3,A2", "D4,A1", "E6,A1"])
+def test_float_batch_matches_one_start_at_a_time(label):
+    # bit for bit, roots and Nones alike, including a singular start
+    system = NahmPolynomialSystem(pair(label))
+    seeds = np.concatenate([_random_seeds(label, 60, 4), -np.ones((1, pair(label).n))])
+    batch = solver._newton_batch(system, seeds)
+    assert _same_roots(batch, [_newton_one_start(system, row) for row in seeds])
+    assert any(r is not None for r in batch)
+
+
 @pytest.mark.parametrize("label", ["A2,T1", "A3,A2", "E6,A1"])
 def test_float_batch_rows_are_independent(label):
     system = NahmPolynomialSystem(pair(label))
