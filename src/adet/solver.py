@@ -152,9 +152,10 @@ class _Columns:
 
     The arithmetic is numpy's scalar complex128 arithmetic, written out in
     float64 array operations, so each row rounds exactly as one scalar start
-    would.  numpy's complex array multiply may fuse multiply-adds: its float
-    roots differ in the last bits, and some degenerate-hit and
-    polish-rejection counts moved with them.
+    would.  numpy's complex array multiply can round differently from its
+    scalar one (SIMD kernels); float roots computed that way differ in the
+    last bits, and some degenerate-hit and polish-rejection counts moved
+    with them.
     """
 
     __slots__ = ("re", "im")

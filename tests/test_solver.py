@@ -156,8 +156,8 @@ def test_solve_positive_iterations_unchanged(bits):
 
 
 def test_newton_mp_stops_on_a_crawl(ctx128):
-    # next to the cleared locus y = (-1, -1) of A2,T1 the steps barely shrink;
-    # the run used to take all 200 iterations before giving up
+    # next to the cleared locus y = (-1, -1) of A2,T1 the steps barely
+    # shrink; without the crawl stop the run takes all 200 iterations
     system = NahmPolynomialSystem(pair("A2,T1"))
     y, info = solver._newton_mp(system, [-1 + 4e-5j, -1 - 4e-5j], ctx128)
     assert not info["converged"]
@@ -228,7 +228,8 @@ def _newton_one_start(system, y0):
 
 @pytest.mark.parametrize("label", ["A1,T2", "A2,T1", "A3,A2", "D4,A1", "E6,A1"])
 def test_float_batch_matches_one_start_at_a_time(label):
-    # bit for bit, roots and Nones alike, including a singular start
+    # bit for bit, roots and Nones alike; the last start, y = -1, has a
+    # singular Jacobian for A1,T2 and A2,T1
     system = NahmPolynomialSystem(pair(label))
     seeds = np.concatenate([_random_seeds(label, 60, 4), -np.ones((1, pair(label).n))])
     batch = solver._newton_batch(system, seeds)
@@ -255,7 +256,7 @@ def test_float_batch_singular_row_drops_alone():
     seeds = _random_seeds("A1,T2", 40, 3)
     singular = np.array([[-1, -1]], dtype=complex)
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(np.zeros((1, 2, 2)), np.ones((1, 2, 1)))
+        np.linalg.solve(np.asarray(system.jacobian(singular[0]), dtype=complex), np.ones(2))
     mixed = solver._newton_batch(system, np.concatenate([seeds[:7], singular, seeds[7:]]))
     assert mixed[7] is None
     plain = solver._newton_batch(system, seeds)
