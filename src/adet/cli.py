@@ -40,6 +40,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tol_scale(text: str) -> float:
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text}")
+    return value
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a fraction p/q with q != 0") from exc
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
@@ -71,16 +85,14 @@ def _add_global_flags(parser, suppress=False):
     # registered on the main parser and again on every subcommand so the
     # flags are accepted in either position; SUPPRESS keeps subcommand
     # defaults from clobbering values parsed before the subcommand name
-    kw = {"default": argparse.SUPPRESS} if suppress else {}
-    parser.add_argument("--precision-bits", type=_precision_bits, help="mantissa bits (default 128)",
-                        **({"default": 128} if not suppress else kw))
-    parser.add_argument("--tol-scale", type=float,
-                        help="multiplies every default tolerance",
-                        **({"default": 1.0} if not suppress else kw))
-    parser.add_argument("--seed", type=int, help="RNG seed for sampled checks",
-                        **({"default": 0} if not suppress else kw))
-    parser.add_argument("--json", metavar="PATH", help="write the report as JSON",
-                        **({"default": None} if not suppress else kw))
+    def default(value):
+        return argparse.SUPPRESS if suppress else value
+    parser.add_argument("--precision-bits", type=_precision_bits, default=default(128),
+                        help="mantissa bits (default 128)")
+    parser.add_argument("--tol-scale", type=_tol_scale, default=default(1.0),
+                        help="multiplies every default tolerance (finite, > 0)")
+    parser.add_argument("--seed", type=int, default=default(0), help="RNG seed for sampled checks")
+    parser.add_argument("--json", metavar="PATH", default=default(None), help="write the report as JSON")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=_positive_int, default=None, help="truncation order")
     p.add_argument("--matrix", type=_json_arg, help="custom: JSON matrix, e.g. [[2,2],[2,4]]")
     p.add_argument("--b", type=_json_arg, help="custom: JSON vector, e.g. [0,0]")
-    p.add_argument("--c", type=Fraction, default="0", help="custom: prefactor exponent p/q")
+    p.add_argument("--c", type=_fraction, default="0", help="custom: prefactor exponent p/q")
     p.add_argument("--residues", type=_int_list, help="custom: product residues, e.g. 1,2,5,6")
     p.add_argument("--modulus", type=_positive_int, help="custom: product modulus")
 
@@ -151,17 +163,25 @@ def _sample_points(pair, count, rng, noise=0.1):
     return pts
 
 
+def _definite_record(a) -> CheckRecord:
+    """Residual 0 if every exact LDL^t pivot of A's symmetric part is positive, else 1."""
+    try:
+        qseries._ldl([[(Fraction(u) + Fraction(v)) / 2 for u, v in zip(row, col)]
+                      for row, col in zip(a, zip(*a))])
+    except ValueError:
+        return CheckRecord.make("positive definite (exact LDL^t pivots)", 1, 1)
+    return CheckRecord.make("positive definite (exact LDL^t pivots)", 0, 1)
+
+
 def _cmd_matrix(args) -> VerificationReport:
     a = nahm_matrix(args.pair.x, args.pair.xp)
     for row in a.entries:
         print("[" + " ".join(str(v) for v in row) + "]")
-    return VerificationReport(
-        command="matrix",
-        metadata={"pair": args.pair.label, "matrix": a.to_json_obj()},
-        records=(),
-        seed=args.seed,
-        precision_bits=args.precision_bits,
-    )
+    asymmetric = sum(a[i, j] != a[j, i] for i in range(a.rows) for j in range(a.cols))
+    records = (CheckRecord.make("asymmetric entries of A (exact)", asymmetric, 1),
+               _definite_record(a.entries))
+    return VerificationReport("matrix", {"pair": args.pair.label, "matrix": a.to_json_obj()},
+                              records, args.seed, args.precision_bits)
 
 
 def _cmd_solve(args) -> VerificationReport:
@@ -281,13 +301,9 @@ def _cmd_qseries(args) -> VerificationReport:
     t0 = time.perf_counter()
     if args.what == "rr":
         order = args.N or 200
-        rep1 = _qseries_pair([[2]], RR_FIRST["B"], RR_FIRST["C"], RR_FIRST["residues"], 5, order)
-        rep2 = _qseries_pair([[2]], RR_SECOND["B"], RR_SECOND["C"], RR_SECOND["residues"], 5, order)
-        records = tuple(
-            CheckRecord.make(f"{name}: {r.name}", r.residual, r.tolerance)
-            for name, rep in (("first identity", rep1), ("second identity", rep2))
-            for r in rep.records
-        )
+        records = tuple(CheckRecord.make(f"{name}: {r.name}", r.residual, r.tolerance)
+                        for name, rr in (("first identity", RR_FIRST), ("second identity", RR_SECOND))
+                        for r in _qseries_pair([[2]], rr["B"], rr["C"], rr["residues"], 5, order).records)
         meta = {"order": order, "prefactors": ["-1/60", "11/60"]}
     elif args.what == "ag":
         order = args.N or 100
@@ -322,7 +338,7 @@ def _cmd_qseries(args) -> VerificationReport:
             raise argparse.ArgumentTypeError(f"--matrix {json.dumps(a)}: {exc}") from exc
         print(series.head(12))
         meta = {"order": order, "series": series.to_json_obj()}
-        records = ()
+        records = (_definite_record(a),)
         if args.residues is not None:
             try:
                 product = qseries.eta_like_product(args.residues, args.modulus, order,

@@ -16,7 +16,7 @@ JSON schema (round-trippable via to_json_obj/from_json_obj):
       "passed": bool
     }
 
-A report passes iff residual < tolerance for every record.
+A report passes iff it holds a record and residual < tolerance for every record.
 """
 from __future__ import annotations
 
@@ -79,7 +79,7 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.records)
+        return bool(self.records) and all(r.passed for r in self.records)
 
     def to_json_obj(self) -> dict:
         return {

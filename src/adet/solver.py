@@ -17,12 +17,12 @@ linear crawl.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from math import lcm
 
 import mpmath as mp
 import numpy as np
 
-from .dynkin import PairIndexing, nahm_matrix
+from .dynkin import PairIndexing, cartan_matrix, nahm_matrix
 from .errors import NoConvergence, PoleInput
 from .precision import DEFAULT_CONTEXT, PrecisionContext, to_mpc
 from .ysystem import constant_residual
@@ -57,35 +57,27 @@ _MAX_HALVINGS = 40
 _HALVING_BLOCKS = (np.arange(1),) + tuple(
     np.arange(h, min(h + 8, _MAX_HALVINGS + 1)) for h in range(1, _MAX_HALVINGS + 1, 8))
 _FIXED_POINT_ITERS = 400  # cap of the positive-cone sweep that seeds Newton
-_BRANCH_K_RANGE = 2  # |k_j| bound of the exhaustive branch search (n <= 4)
 
 
-def _map_values(values, fn):
-    if not isinstance(values, (list, tuple, np.ndarray)):
-        return fn(values)
-    return [fn(v) for v in values]
+def _moebius(values, sign: int, pole: str, ctx: PrecisionContext):
+    """v / (1 + sign v) on a scalar, or componentwise on a sequence; PoleInput at v = -sign."""
+    with ctx.workprec():
+        def one(v):
+            vv = to_mpc(v)
+            if vv == -sign:
+                raise PoleInput(pole)
+            return vv / (1 + vv if sign > 0 else 1 - vv)
+        return [one(v) for v in values] if isinstance(values, (list, tuple, np.ndarray)) else one(values)
 
 
 def x_to_y(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """y = x / (1 - x), componentwise; PoleInput at x = 1."""
-    with ctx.workprec():
-        def one(v):
-            vv = to_mpc(v)
-            if vv == 1:
-                raise PoleInput("x = 1 is a pole of x -> y")
-            return vv / (1 - vv)
-        return _map_values(x, one)
+    return _moebius(x, -1, "x = 1 is a pole of x -> y", ctx)
 
 
 def y_to_x(y, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """x = y / (1 + y), componentwise; PoleInput at y = -1."""
-    with ctx.workprec():
-        def one(v):
-            vv = to_mpc(v)
-            if vv == -1:
-                raise PoleInput("y = -1 is a pole of y -> x")
-            return vv / (1 + vv)
-        return _map_values(y, one)
+    return _moebius(y, 1, "y = -1 is a pole of y -> x", ctx)
 
 
 class NahmPolynomialSystem:
@@ -401,21 +393,46 @@ class SearchBudget:
     rank_cap: int = 6
 
 
+def _integer_solve(g, w):
+    """An integer z with g z = w (integer rows g), or None if there is none.
+
+    Column echelon reduction: Euclid's algorithm along each row by column
+    operations on g stacked over an identity, which carries the unimodular
+    transform; then forward substitution along the pivots."""
+    rows, cols = len(g), len(g[0])
+    free = [list(c) + [int(i == j) for i in range(cols)] for j, c in enumerate(zip(*g))]
+    acc = [0] * (rows + cols)
+    for i in range(rows):
+        while sum(1 for c in free if c[i]) > 1:
+            p = min((c for c in free if c[i]), key=lambda c: abs(c[i]))
+            free = [c if c is p else [a - c[i] // p[i] * b for a, b in zip(c, p)] for c in free]
+        rem = w[i] - acc[i]
+        pivot = next((j for j, c in enumerate(free) if c[i]), None)
+        if rem and (pivot is None or rem % free[pivot][i]):
+            return None
+        if pivot is not None:
+            col = free.pop(pivot)
+            acc = [a + rem // col[i] * b for a, b in zip(acc, col)]
+    return acc[rows:]
+
+
 def nahm_branch_diagnostics(pair: PairIndexing, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> dict:
     """Check x_i = prod_j (1-x_j)^{a_ij} under explicit branch bookkeeping.
 
     principal_residual uses exp(sum_j a_ij Log(1-x_j)) with the principal Log.
-    A consistent branch choice assigns one integer k_j to each Log(1-x_j);
-    the defect reported is the distance of delta - A k from the integer
-    lattice, minimized over small k (|k_j| <= 2, searched exhaustively for
-    n <= 4, k = 0 only otherwise).
-
-    Limit: for n > 4 a genuine solution whose consistent branch needs some
-    k != 0 reports branch_ok False (two of the three E6,A1 solutions do), so
-    branch_ok False is no evidence against a solution when n > 4.
+    A consistent branch choice assigns one integer k_j to each Log(1-x_j), so
+    that delta - A k is integral.  With P = 1 (x) C(X'), P A = C(X) (x) 1 is an
+    integer matrix, so such k exist iff w = nint(P Re delta) solves
+    (C(X) (x) 1) k + P m = w over the integers; `_integer_solve` decides this
+    exactly.  k is reported mod the lcm of A's denominators, which leaves
+    delta - A k mod Z^n unchanged, and the defect is the distance of
+    Re delta - A k from Z^n (k None and the defect inf when no k exists).
     """
     a = nahm_matrix(pair.x, pair.xp)
     n = pair.n
+    cx, cxp = (cartan_matrix(d).to_float().astype(int) for d in (pair.x, pair.xp))
+    g = np.hstack([np.kron(cx, np.eye(len(cxp), dtype=int)),
+                   np.kron(np.eye(len(cx), dtype=int), cxp)]).tolist()
     with ctx.workprec():
         af = [[mp.mpf(a[i, j].numerator) / a[i, j].denominator for j in range(n)] for i in range(n)]
         logs = [mp.log(1 - to_mpc(v)) for v in x]
@@ -425,40 +442,26 @@ def nahm_branch_diagnostics(pair: PairIndexing, x, ctx: PrecisionContext = DEFAU
         delta = [(mp.log(to_mpc(x[i])) - sums[i]) / two_pi_i for i in range(n)]
         delta_im = max(abs(mp.im(d)) for d in delta)
         dre = [mp.re(d) for d in delta]
-
-        def lattice_defect(kvec):
-            worst = mp.mpf(0)
-            for i in range(n):
-                v = dre[i] - mp.fsum(af[i][j] * kvec[j] for j in range(n))
-                worst = max(worst, abs(v - mp.nint(v)))
-            return worst
-
-        if n <= 4:
-            candidates = sorted(product(range(-_BRANCH_K_RANGE, _BRANCH_K_RANGE + 1), repeat=n),
-                                key=lambda kv: sum(abs(v) for v in kv))
-        else:
-            candidates = [tuple([0] * n)]
-        best_k, best = None, mp.inf
-        for kvec in candidates:
-            defect = lattice_defect(kvec)
-            if defect < best:
-                best, best_k = defect, tuple(kvec)
+        z = _integer_solve(g, [int(mp.nint(mp.fsum(g[i][n + j] * dre[j] for j in range(n))))
+                               for i in range(n)])
+        k, defect = None, mp.inf
+        if z is not None:
+            den = lcm(*(v.denominator for row in a.entries for v in row))
+            k = tuple(v % den for v in z[:n])
+            rest = [dre[i] - mp.fsum(af[i][j] * k[j] for j in range(n)) for i in range(n)]
+            defect = max(abs(v - mp.nint(v)) for v in rest)
     return {
         "principal_residual": principal,
         "principal_ok": bool(principal < mp.mpf("1e-15")),
-        "k": best_k,
-        "branch_defect": best,
-        "branch_ok": bool(best < mp.mpf("1e-12")),
+        "k": k,
+        "branch_defect": defect,
+        "branch_ok": bool(defect < mp.mpf("1e-12")),
         "delta_imag": delta_im,
     }
 
 
 def _is_degenerate_vec(y) -> bool:
     return any(abs(v) < _DEGENERATE_MARGIN or abs(1 + v) < _DEGENERATE_MARGIN for v in y)
-
-
-def _sort_key(y):
-    return tuple((float(mp.re(v)), float(mp.im(v))) for v in y)
 
 
 def _positive_fixed_point(pair: PairIndexing):
@@ -485,6 +488,14 @@ def _positive_fixed_point(pair: PairIndexing):
     return y
 
 
+def _solution(pair, y, residual, count, info, ctx) -> Solution:
+    """The Solution at a polished root y, with x = y/(1+y) and its branch diagnostics."""
+    x = tuple(y_to_x(y, ctx))
+    return Solution(x=x, y=tuple(mp.mpc(v) for v in y), residual=residual,
+                    multiplicity_hint=count, branch=nahm_branch_diagnostics(pair, x, ctx),
+                    newton=info)
+
+
 def solve_positive(pair: PairIndexing, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Solution:
     """The solution with all x_i in (0, 1), from one fixed-point start.
 
@@ -505,18 +516,10 @@ def solve_positive(pair: PairIndexing, ctx: PrecisionContext = DEFAULT_CONTEXT) 
                 f"positive solve for {pair.label} did not meet tau_res "
                 f"(residual {mp.nstr(residual, 8)})"
             )
-        ymp = tuple(mp.mpc(v) for v in y)
-        x = tuple(y_to_x(list(ymp), ctx))
-        if any(not (0 < mp.re(v) < 1) for v in x):
+        sol = _solution(pair, [mp.mpc(v) for v in y], residual, 1, info, ctx)
+        if any(not (0 < mp.re(v) < 1) for v in sol.x):
             raise NoConvergence(f"positive solve for {pair.label} left (0,1)")
-        return Solution(
-            x=x,
-            y=ymp,
-            residual=residual,
-            multiplicity_hint=1,
-            branch=nahm_branch_diagnostics(pair, x, ctx),
-            newton=info,
-        )
+        return sol
 
 
 def solve_all(pair: PairIndexing, budget: SearchBudget | None = None,
@@ -536,10 +539,8 @@ def solve_all(pair: PairIndexing, budget: SearchBudget | None = None,
     """
     budget = budget or SearchBudget()
     if pair.n > budget.rank_cap:
-        raise ValueError(
-            f"pair size {pair.n} exceeds the exhaustive-search cap {budget.rank_cap}; "
-            "pass a SearchBudget with a larger rank_cap to override"
-        )
+        raise ValueError(f"pair size {pair.n} exceeds the exhaustive-search cap {budget.rank_cap}; "
+                         "pass a SearchBudget with a larger rank_cap to override")
     system = NahmPolynomialSystem(pair)
     rng = np.random.default_rng(budget.seed)
     logr = rng.uniform(-1.0, 1.0, size=(budget.starts, pair.n))
@@ -564,7 +565,11 @@ def solve_all(pair: PairIndexing, budget: SearchBudget | None = None,
 
     polished: list[list] = []  # [y_mp(list), count, residual, info]
 
-    def _merge(y, count, residual, info):
+    def _merge(found, count):
+        """Add found = (y, residual, info), or count to an entry already at y."""
+        if found is None:
+            return
+        y, residual, info = found
         for entry in polished:
             if max(abs(a - b) for a, b in zip(entry[0], y)) < DEDUP_TOL:
                 entry[1] += count
@@ -594,15 +599,9 @@ def solve_all(pair: PairIndexing, budget: SearchBudget | None = None,
                 y, residual = snapped, snapped_residual
         return list(y), residual, info
 
-    def _polish(y0, count):
-        found = _polished(y0)
-        if found is not None:
-            _merge(found[0], count, *found[1:])
-
-    solutions = []
     with ctx.workprec(32):
         for root, count in reps:
-            _polish(list(root), count)
+            _merge(_polished(list(root)), count)
 
         # The all-positive solution always exists; add it if no basin reached
         # it, leaving an entry that already holds it untouched.
@@ -615,26 +614,10 @@ def solve_all(pair: PairIndexing, budget: SearchBudget | None = None,
         for entry in list(polished):
             conj = [mp.conj(v) for v in entry[0]]
             if _is_new(conj):
-                _polish(conj, 1)
+                _merge(_polished(conj), 1)
 
-        polished.sort(key=lambda e: _sort_key(e[0]))
-        for y, count, residual, info in polished:
-            x = tuple(y_to_x(y, ctx))
-            solutions.append(
-                Solution(
-                    x=x,
-                    y=tuple(mp.mpc(v) for v in y),
-                    residual=residual,
-                    multiplicity_hint=count,
-                    branch=nahm_branch_diagnostics(pair, x, ctx),
-                    newton=info,
-                )
-            )
-    return SolutionSet(
-        pair=pair.label,
-        solutions=tuple(solutions),
-        dedup_tol=DEDUP_TOL,
-        starts=budget.starts,
-        seed=budget.seed,
-        meta=stats,
-    )
+        polished.sort(key=lambda e: [(float(mp.re(v)), float(mp.im(v))) for v in e[0]])
+        solutions = tuple(_solution(pair, y, residual, count, info, ctx)
+                          for y, count, residual, info in polished)
+    return SolutionSet(pair=pair.label, solutions=solutions, dedup_tol=DEDUP_TOL,
+                       starts=budget.starts, seed=budget.seed, meta=stats)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from adet import PrecisionContext, central_charge_probe, solver
+from adet import PrecisionContext, central_charge_probe, cli, solver
 from adet.cli import run
 from adet.report import CheckRecord, VerificationReport
 
@@ -181,6 +181,39 @@ def test_tol_scale_loosens_gates(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
+def test_tol_scale_must_be_finite_positive(scale, capsys):
+    # inf passed every gate whatever the residuals; nan and -1 failed every one
+    _assert_bad_input(["--tol-scale", scale, "verify", "fiveterm", "--points", "2"], capsys,
+                      "finite positive")
+
+
+def test_empty_report_fails():
+    assert not VerificationReport("empty").passed
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["matrix", "--pair", "A1,T1"],
+     ["asymmetric entries of A (exact)", "positive definite (exact LDL^t pivots)"]),
+    (["qseries", "custom", "--matrix", "[[2]]", "--N", "10"],
+     ["positive definite (exact LDL^t pivots)"]),
+])
+def test_commands_without_checks_carry_exact_records(argv, names, tmp_path, capsys):
+    # both printed "PASS (0 checks)" before an empty report failed
+    path = tmp_path / "r.json"
+    assert run(argv + ["--json", str(path)]) == 0
+    capsys.readouterr()
+    records = json.loads(path.read_text())["records"]
+    assert [r["name"] for r in records] == names
+    assert all(r["residual"] == 0 and r["passed"] for r in records)
+
+
+def test_definite_record_negative_control():
+    # [[1, 2], [2, 1]] has the LDL^t pivots 1 and -3
+    record = cli._definite_record([[1, 2], [2, 1]])
+    assert record.residual == 1 and not record.passed
+
+
 def _assert_bad_input(argv, capsys, fragment):
     assert run(argv) == 2
     err = capsys.readouterr().err
@@ -224,6 +257,11 @@ def test_qseries_custom_bad_input_names_its_flag(matrix, b, fragment, other, cap
 def test_qseries_custom_bad_product_exits_2(residues, modulus, fragment, capsys):
     _assert_bad_input(["qseries", "custom", "--matrix", "[[2]]", "--N", "10",
                        "--residues", residues, "--modulus", modulus], capsys, fragment)
+
+
+def test_qseries_custom_zero_denominator_c_exits_2(capsys):
+    _assert_bad_input(["qseries", "custom", "--matrix", "[[2]]", "--c", "1/0"], capsys,
+                      "argument --c: '1/0' is not a fraction")
 
 
 @pytest.mark.parametrize("half", [["--residues", "1,4"], ["--modulus", "5"]])
