@@ -66,7 +66,7 @@ def _moebius(values, sign: int, pole: str, ctx: PrecisionContext):
             vv = to_mpc(v)
             if vv == -sign:
                 raise PoleInput(pole)
-            return vv / (1 + vv if sign > 0 else 1 - vv)
+            return vv / (1 + vv if sign > 0 else 1 - vv)  # sign * vv would round vv first
         return [one(v) for v in values] if isinstance(values, (list, tuple, np.ndarray)) else one(values)
 
 
