@@ -1,17 +1,20 @@
 """High-precision dilogarithms and the torsion criterion.
 
-li2 is the principal-branch dilogarithm Li_2(z) = -int_0^z log(1-t)/t dt,
-evaluated by one Bernoulli series in u = -log(1-w) (Zagier, "The dilogarithm
-function", 2007) at a reduced argument w: w = z for |z| <= 1/2 and near the
-unit circle, w = 1/z (inversion) for |z| >= 2, w = 1-z (reflection) for
-|1-z| <= 1/2.  The series coefficients are cached per working precision.  On
-the cut [1, oo) the limit from the lower half-plane is used; with
-arg(1-x) = pi for x > 1 this is exactly the convention making the
-Bloch-Wigner function vanish on the real line.
+li2 and bloch_wigner share one integer fixed-point kernel.  It takes log|z|,
+log|1-z|, arg z and arg(1-z) once from mpmath's libmp and evaluates Li_2 by
+the Bernoulli series in u = -log(1-w) (Zagier, "The dilogarithm function",
+2007) at whichever of w = z, 1-z (reflection), 1/z (inversion) has the
+smallest |u|.  That bounds |u| by pi/3, reached at exp(+-i pi/3), so at 128
+bits the series needs at most 38 terms; its coefficients are cached per
+working precision.  On the cut [1, oo) the limit from the lower half-plane
+is used: with arg(1-x) = pi for x > 1 this is exactly the convention making
+the Bloch-Wigner function vanish on the real line.
 
 D(z) = Im Li_2(z) + log|z| * arg(1-z) is single-valued, real-analytic off
 {0, 1}, and satisfies D(conj z) = -D(z), the two-term relations
-D(z) + D(1-z) = D(z) + D(1/z) = 0, and the five-term relation.
+D(z) + D(1-z) = D(z) + D(1/z) = 0, and the five-term relation.  The kernel
+computes D from Li_2 alone, never through these symmetries, so the checks of
+them stay independent of how D is evaluated.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath import libmp
 
 from .errors import DegenerateInput, ReconstructionFailed
 from .precision import DEFAULT_CONTEXT, GUARD_BITS, PrecisionContext, to_mpc
@@ -39,95 +43,102 @@ __all__ = [
 
 TORSION_TOLERANCE = 1e-18
 
-_MAX_TERMS = 4096
-# Fraction bits the fixed-point series carries beyond the working precision;
-# they absorb the truncation error of a few hundred terms.
+# Fraction bits the kernel carries beyond the precision it rounds to; they
+# absorb the rounding of the series and of the reduction formulas.
 _FIXED_GUARD = 24
 
-# Working precision -> [B_k (2 pi)^(k+1) / (k+1)! for k = 2, 4, 6, ...] as
-# integers scaled by 2^(precision + _FIXED_GUARD).  A list is extended by
-# storing a longer copy, never in place, so concurrent callers cannot
-# interleave appends.
-_BERNOULLI_COEFFS: dict[int, list[int]] = {}
+# Fixed-point fraction bits -> [B_k (2 pi)^(k+1) / (k+1)! for k = 2, 4, 6, ...]
+# scaled by 2^bits.  A list is extended by storing a longer copy, never in
+# place, so concurrent callers cannot interleave appends.
+_SERIES_COEFFS: dict[int, list[int]] = {}
 
 
-def _bernoulli_coeff(k: int, wp: int) -> int:
-    with mp.workprec(wp + 16):
-        return int(mp.ldexp(mp.bernoulli(k) * (2 * mp.pi) ** (k + 1) / mp.factorial(k + 1), wp))
+def _series_coeffs(n: int, wp: int) -> list[int]:
+    coeffs = _SERIES_COEFFS.get(wp, [])
+    if len(coeffs) < n:
+        with mp.workprec(wp + 16):
+            coeffs = _SERIES_COEFFS[wp] = coeffs + [
+                int(mp.ldexp(mp.bernoulli(k) * (2 * mp.pi) ** (k + 1) / mp.factorial(k + 1), wp))
+                for k in range(2 * len(coeffs) + 2, 2 * n + 2, 2)]
+    return coeffs
 
 
-def _li2_bernoulli(w):
-    """Li_2(w) = u - u^2/4 + sum_{k even >= 2} B_k u^(k+1) / (k+1)!, u = -log(1-w).
+def _li2_fixed(zr, zi, wp: int):
+    """(Re Li_2(z), Im Li_2(z), log|z| arg(1-z)) scaled by 2^wp, for z = zr + i zi
+    given as libmp values, z not 0 or 1.
 
-    The series converges for |u| < 2 pi; the regions of _li2_any keep |u|
-    below 3.33, and at most log 2 where the argument is reduced to |w| <= 1/2.
-    The sum over k runs in fixed point on v = u / (2 pi), whose powers shrink,
-    against the coefficients B_k (2 pi)^(k+1) / (k+1)!, which are O(1/k).
+    Li_2(w) = u - u^2/4 + sum_{k even >= 2} B_k u^(k+1) / (k+1)!, u = -log(1-w),
+    runs by Horner in v^2, v = u / (2 pi), with the term count fixed from |v|.
+    On the real line the chosen |u| is at most log 2, while a w on the cut
+    [1, oo) would have |Im u| = pi, so w never lands on the cut.
     """
-    prec = mp.mp.prec
-    wp = prec + _FIXED_GUARD
-    coeffs = _BERNOULLI_COEFFS.get(prec, [])
-    eps2 = 1 << 2 * (_FIXED_GUARD - 8)  # (2^-(prec + 8))^2, scaled by 2^(2 wp)
-    u = -mp.log(1 - w)
-    v = u / (2 * mp.pi)
-    vr, vi = int(mp.ldexp(v.real, wp)), int(mp.ldexp(v.imag, wp))
+    rnd = libmp.round_nearest
+    one_r, one_i = libmp.mpf_sub(libmp.fone, zr, wp, rnd), libmp.mpf_neg(zi)
+    lzr, lzi, l1r, l1i = (libmp.to_fixed(x, wp) for x in (
+        libmp.mpf_log_hypot(zr, zi, wp, rnd), libmp.mpf_atan2(zi, zr, wp, rnd),
+        libmp.mpf_log_hypot(one_r, one_i, wp, rnd), libmp.mpf_atan2(one_i, one_r, wp, rnd)))
+    pi = libmp.pi_fixed(wp)
+    inv_i = l1i - lzi + pi  # arg(1 - 1/z) = arg(1-z) - arg z + pi, into (-pi, pi]
+    if inv_i > pi:
+        inv_i -= 2 * pi
+    # log(1-w) for w = z, 1-z, 1/z; the smallest gives the series variable
+    logs = ((l1r, l1i), (lzr, lzi), (l1r - lzr, inv_i))
+    branch = min(range(3), key=lambda j: logs[j][0] ** 2 + logs[j][1] ** 2)
+    ur, ui = -logs[branch][0], -logs[branch][1]
+    two_pi = 2 * pi
+    vr, vi = (ur << wp) // two_pi, (ui << wp) // two_pi
     v2r, v2i = (vr * vr - vi * vi) >> wp, (2 * vr * vi) >> wp
-    qr, qi = (v2r * vr - v2i * vi) >> wp, (v2r * vi + v2i * vr) >> wp  # q = v^(k+1)
+    # |v|^2 < 2^-d, d = wp - q.bit_length() >= 5, and every coefficient is below
+    # 7 in size, so the terms past the first (wp + 3) / d sum to under 2^-wp
+    q = (vr * vr + vi * vi) >> wp
+    n = -(-(wp + 3) // (wp - q.bit_length())) if q else 0
     sr = si = 0
-    for i in range(_MAX_TERMS):
-        if i == len(coeffs):
-            coeffs = _BERNOULLI_COEFFS[prec] = coeffs + [_bernoulli_coeff(2 * i + 2, wp)]
-        tr, ti = (coeffs[i] * qr) >> wp, (coeffs[i] * qi) >> wp
-        sr += tr
-        si += ti
-        if tr * tr + ti * ti < eps2:
-            break
-        qr, qi = (qr * v2r - qi * v2i) >> wp, (qr * v2i + qi * v2r) >> wp
-    head = u - u * u / 4
-    if isinstance(u, mp.mpf):
-        return head + mp.ldexp(sr, -wp)
-    return head + mp.mpc(mp.ldexp(sr, -wp), mp.ldexp(si, -wp))
+    for c in reversed(_series_coeffs(n, wp)[:n]):
+        sr, si = ((sr * v2r - si * v2i) >> wp) + c, (sr * v2i + si * v2r) >> wp
+    v3r, v3i = (v2r * vr - v2i * vi) >> wp, (v2r * vi + v2i * vr) >> wp
+    br = ur - ((ur * ur - ui * ui) >> (wp + 2)) + ((sr * v3r - si * v3i) >> wp)
+    bi = ui - ((ur * ui) >> (wp + 1)) + ((sr * v3i + si * v3r) >> wp)
+    pi2_6 = (pi * pi >> wp) // 6
+    if branch == 0:
+        re, im = br, bi
+    elif branch == 1:  # Li2(z) + Li2(1-z) = pi^2/6 - log(z) log(1-z)
+        re = pi2_6 - ((lzr * l1r - lzi * l1i) >> wp) - br
+        im = -((lzr * l1i + lzi * l1r) >> wp) - bi
+    else:  # Li2(z) + Li2(1/z) = -pi^2/6 - log(-z)^2 / 2, arg(-z) = arg z -+ pi
+        mi = lzi - pi if lzi > 0 else lzi + pi
+        re = -pi2_6 - ((lzr * lzr - mi * mi) >> (wp + 1)) - br
+        im = -((lzr * mi) >> wp) - bi
+    return re, im, (lzr * l1i) >> wp
 
 
-def _li2_any(z):
-    """Dispatch over regions; z must not be a real number > 1."""
-    if z == 0:
-        return mp.mpf(0)
-    if z == 1:
-        return mp.pi ** 2 / 6
-    a = abs(z)
-    if a <= mp.mpf("0.5"):
-        return _li2_bernoulli(z)
-    if a >= 2:
-        # Li2(z) + Li2(1/z) = -pi^2/6 - log(-z)^2 / 2, principal branch
-        return -_li2_bernoulli(1 / z) - mp.pi ** 2 / 6 - mp.log(-z) ** 2 / 2
-    if abs(1 - z) <= mp.mpf("0.5"):
-        # Li2(z) + Li2(1-z) = pi^2/6 - log(z) log(1-z)
-        return mp.pi ** 2 / 6 - mp.log(z) * mp.log(1 - z) - _li2_bernoulli(1 - z)
-    return _li2_bernoulli(z)
+def _round(x: int, wp: int, prec: int):
+    return libmp.from_man_exp(x, -wp, prec, libmp.round_nearest)
 
 
 def li2(z, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """Principal-branch dilogarithm at the context precision.
+    """Principal-branch dilogarithm, rounded to mantissa_bits + 2 GUARD_BITS.
 
     For real z > 1 (the branch cut) the value is the limit from the lower
     half-plane, i.e. Im Li2(x) = -pi*log(x); this is the convention recorded
     by the toolkit and the one under which D vanishes on the real line.
+    Real z <= 1 gives a real mpf.
     """
-    with mp.workprec(ctx.mantissa_bits + 2 * GUARD_BITS):
+    prec = ctx.mantissa_bits + 2 * GUARD_BITS
+    with mp.workprec(prec):
         zz = to_mpc(z)
-        if mp.im(zz) == 0:
-            x = mp.re(zz)
-            if x > 1:
-                lx = mp.log(x)
-                inner = _li2_any(1 / x)
-                return mp.pi ** 2 / 3 - lx ** 2 / 2 - inner - mp.mpc(0, mp.pi) * lx
-            return _li2_any(x)
-        return _li2_any(zz)
+        zr, zi = zz._mpc_ if isinstance(zz, mp.mpc) else (zz._mpf_, libmp.fzero)
+        if zi == libmp.fzero and zr in (libmp.fzero, libmp.fone):
+            return mp.pi ** 2 / 6 if zr == libmp.fone else mp.mpf(0)
+    wp = prec + _FIXED_GUARD
+    re, im, _ = _li2_fixed(zr, zi, wp)
+    if zi == libmp.fzero and libmp.mpf_le(zr, libmp.fone):
+        return mp.make_mpf(_round(re, wp, prec))
+    return mp.make_mpc((_round(re, wp, prec), _round(im, wp, prec)))
 
 
 def bloch_wigner(z, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """Bloch-Wigner function D(z) = Im Li2(z) + log|z| arg(1-z).
+    """Bloch-Wigner function D(z) = Im Li2(z) + log|z| arg(1-z), rounded to
+    mantissa_bits + GUARD_BITS.
 
     Exactly-real inputs (including 0 and 1, by continuity) return an exact 0:
     D vanishes identically on the real line.
@@ -135,9 +146,9 @@ def bloch_wigner(z, ctx: PrecisionContext = DEFAULT_CONTEXT):
     zz = to_mpc(z)
     if mp.im(zz) == 0:
         return mp.mpf(0)
-    im_li2 = mp.im(li2(zz, ctx))
-    with ctx.workprec():
-        return im_li2 + mp.log(abs(zz)) * mp.arg(1 - zz)
+    wp = ctx.mantissa_bits + 2 * GUARD_BITS + _FIXED_GUARD
+    _, im, d_term = _li2_fixed(*zz._mpc_, wp)
+    return mp.make_mpf(_round(im + d_term, wp, ctx.mantissa_bits + GUARD_BITS))
 
 
 def five_term_residual(x, y, ctx: PrecisionContext = DEFAULT_CONTEXT):

@@ -33,15 +33,25 @@ def _pair_arg(text: str):
         raise argparse.ArgumentTypeError(f"bad pair {text!r}: {exc}") from exc
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from exc
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
 
 
 def _tol_scale(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from exc
     if not 0 < value < float("inf"):
         raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text}")
     return value
@@ -55,11 +65,14 @@ def _fraction(text: str) -> Fraction:
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(","))
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of integers") from exc
 
 
 def _precision_bits(text: str) -> int:
-    bits = int(text)
+    bits = _int(text)
     try:
         PrecisionContext(mantissa_bits=bits)
     except ValueError as exc:

@@ -80,6 +80,8 @@ KERNEL_POINTS = (
     + [-5.0, -1.5, -1.0000001, 0.6, 0.75, 0.99]                     # real x < -1, x in (1/2, 1)
 )
 KERNEL_TOL = {128: 1e-30, 256: 1e-70}
+# z's fixed-point image underflows to 0 at the first; log|z| ~ 138 at the second
+EXTREME_POINTS = [1e-60 * (1 + 1j), 1e60 * (1 + 1j)]
 
 
 def _check_against_polylog(points, bits):
@@ -91,14 +93,37 @@ def _check_against_polylog(points, bits):
 
 @pytest.mark.parametrize("bits", [128, 256])
 def test_li2_kernel_edge_points(bits):
-    _check_against_polylog(KERNEL_POINTS, bits)
+    _check_against_polylog(KERNEL_POINTS + EXTREME_POINTS, bits)
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_bloch_wigner_kernel_edge_points(bits):
+    ctx = PrecisionContext(mantissa_bits=bits)
+    with mp.workprec(bits + 64):
+        for z in KERNEL_POINTS + EXTREME_POINTS:
+            zz = mp.mpmathify(z)
+            ref = mp.im(mp.polylog(2, zz)) + mp.log(abs(zz)) * mp.arg(1 - zz)
+            assert abs(bloch_wigner(z, ctx) - ref) < KERNEL_TOL[bits], (bits, z)
 
 
 def test_li2_coefficient_cache_per_precision(monkeypatch):
     # coefficients built at one precision must never serve another
-    monkeypatch.setattr(bloch, "_BERNOULLI_COEFFS", {})
+    monkeypatch.setattr(bloch, "_SERIES_COEFFS", {})
     for bits in (256, 128, 256):
         _check_against_polylog(KERNEL_POINTS, bits)
+
+
+def test_li2_series_terms_bounded(monkeypatch):
+    # the reduction to the smallest of |log(1-w)|, w in {z, 1-z, 1/z}, keeps
+    # |u| <= pi/3 (reached at exp(+-i pi/3)); without it |u| nears 3.3 and
+    # the series needs about 100 terms at 128 bits
+    monkeypatch.setattr(bloch, "_SERIES_COEFFS", {})
+    ctx = PrecisionContext(mantissa_bits=128)
+    grid = [complex(a, b) for a in np.linspace(-4, 4, 33) for b in np.linspace(-4, 4, 33)]
+    for z in [z for z in grid if abs(z) <= 4] + KERNEL_POINTS:
+        li2(z, ctx)
+        bloch_wigner(z, ctx)
+    assert sum(len(coeffs) for coeffs in bloch._SERIES_COEFFS.values()) <= 40
 
 
 def test_li2_cut_convention(ctx128):

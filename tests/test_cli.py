@@ -271,6 +271,21 @@ def test_qseries_custom_half_product_exits_2(half, capsys):
                       "--residues and --modulus")
 
 
+@pytest.mark.parametrize("argv, fragment", [
+    (["verify", "fiveterm", "--tol-scale", "abc"], "'abc' is not a number"),
+    (["verify", "fiveterm", "--points", "x"], "'x' is not an integer"),
+    (["qseries", "custom", "--matrix", "[[2]]", "--residues", "1,x", "--modulus", "5"],
+     "'1,x' is not a comma-separated list of integers"),
+    (["solve", "--pair", "A1,T1", "--precision-bits", "abc"], "'abc' is not an integer"),
+])
+def test_unparsable_values_name_no_private_function(argv, fragment, capsys):
+    # argparse's own message for a failed type call names the function: "invalid _tol_scale value"
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "invalid _" not in err
+    assert len(err.strip().splitlines()) == 1 and fragment in err, err
+
+
 def test_solve_all_above_rank_cap_exits_2(capsys):
     _assert_bad_input(["solve", "--all", "--pair", "E8,A1"], capsys, "search cap 6")
 
