@@ -3,10 +3,11 @@
 li2 and bloch_wigner share one integer fixed-point kernel.  It takes log|z|,
 log|1-z|, arg z and arg(1-z) once from mpmath's libmp and evaluates Li_2 by
 the Bernoulli series in u = -log(1-w) (Zagier, "The dilogarithm function",
-2007) at whichever of w = z, 1-z (reflection), 1/z (inversion) has the
-smallest |u|.  That bounds |u| by pi/3, reached at exp(+-i pi/3), so at 128
-bits the series needs at most 38 terms; its coefficients are cached per
-working precision.  On the cut [1, oo) the limit from the lower half-plane
+2007): at w = z while |u| <= 1, otherwise at whichever of w = z, 1-z
+(reflection), 1/z (inversion) has the smallest |u|, which is at most pi/3
+(reached at exp(+-i pi/3)).  So |u| <= 1, and at 128 bits the series needs
+at most 38 terms; its coefficients are cached per working precision.  On the
+cut [1, oo) the limit from the lower half-plane
 is used: with arg(1-x) = pi for x > 1 this is exactly the convention making
 the Bloch-Wigner function vanish on the real line.
 
@@ -69,7 +70,7 @@ def _li2_fixed(zr, zi, wp: int):
 
     Li_2(w) = u - u^2/4 + sum_{k even >= 2} B_k u^(k+1) / (k+1)!, u = -log(1-w),
     runs by Horner in v^2, v = u / (2 pi), with the term count fixed from |v|.
-    On the real line the chosen |u| is at most log 2, while a w on the cut
+    On the real line the chosen |u| is at most 1, while a w on the cut
     [1, oo) would have |Im u| = pi, so w never lands on the cut.
     """
     rnd = libmp.round_nearest
@@ -81,15 +82,20 @@ def _li2_fixed(zr, zi, wp: int):
     inv_i = l1i - lzi + pi  # arg(1 - 1/z) = arg(1-z) - arg z + pi, into (-pi, pi]
     if inv_i > pi:
         inv_i -= 2 * pi
-    # log(1-w) for w = z, 1-z, 1/z; the smallest gives the series variable
+    # log(1-w) for w = z, 1-z, 1/z.  w = z is kept while |log(1-z)| <= 1, so
+    # that D(z) and D(1-z) or D(1/z) do not always share one series value and
+    # the reflection and inversion checks still test the series; past that
+    # the smallest is taken, which is at most pi/3
     logs = ((l1r, l1i), (lzr, lzi), (l1r - lzr, inv_i))
-    branch = min(range(3), key=lambda j: logs[j][0] ** 2 + logs[j][1] ** 2)
+    size = [a * a + b * b for a, b in logs]
+    branch = 0 if size[0] <= 1 << 2 * wp else min(range(3), key=size.__getitem__)
     ur, ui = -logs[branch][0], -logs[branch][1]
     two_pi = 2 * pi
     vr, vi = (ur << wp) // two_pi, (ui << wp) // two_pi
     v2r, v2i = (vr * vr - vi * vi) >> wp, (2 * vr * vi) >> wp
-    # |v|^2 < 2^-d, d = wp - q.bit_length() >= 5, and every coefficient is below
-    # 7 in size, so the terms past the first (wp + 3) / d sum to under 2^-wp
+    # |u| <= 1 makes |v|^2 < 2^-d with d = wp - q.bit_length() >= 5; every
+    # coefficient is below 7 in size, so the terms past the first
+    # (wp + 3) / d sum to under 2^-wp
     q = (vr * vr + vi * vi) >> wp
     n = -(-(wp + 3) // (wp - q.bit_length())) if q else 0
     sr = si = 0
@@ -118,6 +124,10 @@ def _round(x: int, wp: int, prec: int):
 def li2(z, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """Principal-branch dilogarithm, rounded to mantissa_bits + 2 GUARD_BITS.
 
+    The fixed-point kernel carries _FIXED_GUARD bits beyond that and sums
+    the Bernoulli series at w = z while |log(1-z)| <= 1, otherwise at
+    whichever of w = z, 1-z, 1/z has the smallest |log(1-w)|, and returns
+    through the reflection or inversion formula.
     For real z > 1 (the branch cut) the value is the limit from the lower
     half-plane, i.e. Im Li2(x) = -pi*log(x); this is the convention recorded
     by the toolkit and the one under which D vanishes on the real line.

@@ -114,9 +114,10 @@ def test_li2_coefficient_cache_per_precision(monkeypatch):
 
 
 def test_li2_series_terms_bounded(monkeypatch):
-    # the reduction to the smallest of |log(1-w)|, w in {z, 1-z, 1/z}, keeps
-    # |u| <= pi/3 (reached at exp(+-i pi/3)); without it |u| nears 3.3 and
-    # the series needs about 100 terms at 128 bits
+    # w = z while |log(1-z)| <= 1, else the w in {z, 1-z, 1/z} with the
+    # smallest |log(1-w)| (at most pi/3, at exp(+-i pi/3)), keeps |u| <= 1;
+    # with the |z| regions alone |u| nears 3.3 and the series needs about
+    # 100 terms at 128 bits
     monkeypatch.setattr(bloch, "_SERIES_COEFFS", {})
     ctx = PrecisionContext(mantissa_bits=128)
     grid = [complex(a, b) for a in np.linspace(-4, 4, 33) for b in np.linspace(-4, 4, 33)]
