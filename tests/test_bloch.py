@@ -127,6 +127,23 @@ def test_li2_series_terms_bounded(monkeypatch):
     assert sum(len(coeffs) for coeffs in bloch._SERIES_COEFFS.values()) <= 40
 
 
+@pytest.mark.parametrize("z, partner", [(0.4 + 0.3j, lambda z: 1 - z), (-1 + 0.5j, lambda z: 1 / z)],
+                         ids=["reflection", "inversion"])
+def test_two_term_relations_see_the_series(z, partner, monkeypatch):
+    # z and its partner both keep w = z here, so D(z) + D(partner) = 0 tests
+    # the series: a fault in one coefficient shows, where a shared series
+    # value would cancel it
+    ctx = PrecisionContext(mantissa_bits=128)
+    wp = 128 + 2 * adet.precision.GUARD_BITS + bloch._FIXED_GUARD
+    zz = mp.mpc(z)
+    with ctx.workprec():
+        assert abs(bloch_wigner(zz, ctx) + bloch_wigner(partner(zz), ctx)) < 1e-40
+        coeffs = list(bloch._series_coeffs(40, wp))
+        coeffs[0] += 1 << (wp - 60)
+        monkeypatch.setattr(bloch, "_SERIES_COEFFS", {wp: coeffs})
+        assert abs(bloch_wigner(zz, ctx) + bloch_wigner(partner(zz), ctx)) > 1e-30
+
+
 def test_li2_cut_convention(ctx128):
     # on [1, oo) the value continues from the lower half-plane
     with ctx128.workprec():
