@@ -83,9 +83,9 @@ def y_to_x(y, ctx: PrecisionContext = DEFAULT_CONTEXT):
 class NahmPolynomialSystem:
     """Residual/Jacobian evaluator for the cleared constant Y-system.
 
-    Polymorphic over the scalar type: works with complex128 and mpmath
-    numbers and with the _Columns of a float batch alike (only +, -, * and
-    ** int are used).
+    Polymorphic over the scalar type: works with mpmath numbers and with
+    the complex128 columns of a float batch alike (only +, -, * and ** int
+    are used).
     """
 
     def __init__(self, pair: PairIndexing):
@@ -139,65 +139,17 @@ class NahmPolynomialSystem:
         ]
 
 
-class _Columns:
-    """A column of complex128 values held as float64 real and imaginary parts.
+def _on_rows(evaluate, y):
+    """evaluate, a system's residual or jacobian, at every row of y (rows x n)
+    at once, as a (rows, n) or (rows, n, n) complex array.
 
-    The arithmetic is numpy's scalar complex128 arithmetic, written out in
-    float64 array operations, so each row rounds exactly as one scalar start
-    would.  numpy's complex array multiply can round differently from its
-    scalar one (SIMD kernels); float roots computed that way differ in the
-    last bits, and some degenerate-hit and polish-rejection counts moved
-    with them.
+    The evaluator runs once on the complex128 columns y.T, so each entry it
+    returns is an array over the rows or one of the constants 0 and 1.
     """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im):
-        self.re, self.im = re, im
-
-    @staticmethod
-    def _parts(v):
-        return (v.re, v.im) if isinstance(v, _Columns) else (v, 0.0)
-
-    def __add__(self, other):
-        br, bi = self._parts(other)
-        return _Columns(self.re + br, self.im + bi)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        br, bi = self._parts(other)
-        return _Columns(self.re - br, self.im - bi)
-
-    def __rsub__(self, other):
-        return _Columns(other - self.re, 0.0 - self.im)
-
-    def __mul__(self, other):
-        br, bi = self._parts(other)
-        return _Columns(self.re * br - self.im * bi, self.re * bi + self.im * br)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, m):
-        # numpy's scalar power multiplies out the exponents used here (1 and
-        # 2) and returns +0 for a zero base
-        out = self
-        for _ in range(m - 1):
-            out = self * out
-        zero = (self.re == 0) & (self.im == 0)
-        return _Columns(np.where(zero, 0.0, out.re), np.where(zero, 0.0, out.im))
-
-
-def _stack(entries, rows):
-    """(rows, len(entries)) complex array from evaluator entries that are
-    _Columns or the constants 0 and 1."""
-    out = np.zeros((rows, len(entries)), dtype=complex)
-    for j, e in enumerate(entries):
-        if isinstance(e, _Columns):
-            out.real[:, j], out.imag[:, j] = e.re, e.im
-        else:
-            out[:, j] = e
-    return out
+    def stack(entries):
+        return np.stack([stack(e) if isinstance(e, list) else np.broadcast_to(e, len(y))
+                         for e in entries], axis=1, dtype=complex)
+    return stack(evaluate(list(y.T)))
 
 
 def _solve_rows(jac, rhs):
@@ -225,20 +177,12 @@ def _newton_batch(system, seeds):
     drops, and the run ends when no halving drops it, when |y| > 1e8 (no
     root), when the step is below _FLOAT_MIN_STEP or at _FLOAT_MAX_ITER.
     A row whose run ends is a root if its residual norm is below 1e-8.
+    The batch is evaluated by numpy's array kernels (`_on_rows`), so a row
+    rounds as it would in a one-row batch.
     """
     starts, n = seeds.shape
-
-    def columns(y):
-        return [_Columns(col.real, col.imag) for col in y.T]
-
-    def residual(y):
-        return _stack(system.residual(columns(y)), len(y))
-
-    def jacobian(y):
-        return np.stack([_stack(row, len(y)) for row in system.jacobian(columns(y))], axis=1)
-
     y = np.array(seeds, dtype=complex)
-    r = residual(y)
+    r = _on_rows(system.residual, y)
     rnorm = np.max(np.abs(r), axis=1)
     live = np.all(np.isfinite(r), axis=1)  # rows still iterating
     ended = np.zeros(starts, dtype=bool)  # rows whose run ended with a final y
@@ -246,7 +190,7 @@ def _newton_batch(system, seeds):
         rows = np.flatnonzero(live)
         if rows.size == 0:
             break
-        dy, ok = _solve_rows(jacobian(y[rows]), -r[rows])
+        dy, ok = _solve_rows(_on_rows(system.jacobian, y[rows]), -r[rows])
         ok &= np.all(np.isfinite(dy), axis=1)
         live[rows[~ok]] = False
         rows, dy = rows[ok], dy[ok]
@@ -260,7 +204,7 @@ def _newton_batch(system, seeds):
                 break
             lams = 0.5 ** halvings
             cand = y[rows[pending], None] + lams[:, None] * dy[pending, None]
-            rc = residual(cand.reshape(-1, n)).reshape(cand.shape)
+            rc = _on_rows(system.residual, cand.reshape(-1, n)).reshape(cand.shape)
             norm = np.max(np.abs(rc), axis=2)
             better = np.all(np.isfinite(rc), axis=2) & (norm < rnorm[rows[pending], None])
             hit = np.flatnonzero(better.any(axis=1))
@@ -427,6 +371,8 @@ def nahm_branch_diagnostics(pair: PairIndexing, x, ctx: PrecisionContext = DEFAU
     exactly.  k is reported mod the lcm of A's denominators, which leaves
     delta - A k mod Z^n unchanged, and the defect is the distance of
     Re delta - A k from Z^n (k None and the defect inf when no k exists).
+    branch_ok needs the defect and delta_imag = max |Im delta|, the modulus
+    half of the equation, both below 1e-12.
     """
     a = nahm_matrix(pair.x, pair.xp)
     n = pair.n
@@ -455,7 +401,7 @@ def nahm_branch_diagnostics(pair: PairIndexing, x, ctx: PrecisionContext = DEFAU
         "principal_ok": bool(principal < mp.mpf("1e-15")),
         "k": k,
         "branch_defect": defect,
-        "branch_ok": bool(defect < mp.mpf("1e-12")),
+        "branch_ok": bool(defect < mp.mpf("1e-12") and delta_im < mp.mpf("1e-12")),
         "delta_imag": delta_im,
     }
 
@@ -496,26 +442,41 @@ def _solution(pair, y, residual, count, info, ctx) -> Solution:
                     newton=info)
 
 
+def _polish(pair, system, y0, ctx):
+    """(y, residual, info) for the root mp Newton reaches from y0; None if
+    the run fails or ends unconverged, or the root is degenerate or misses
+    tau_res."""
+    result = _newton_mp(system, y0, ctx)
+    if result is None or not result[1]["converged"] or _is_degenerate_vec(result[0]):
+        return None
+    y, info = result
+    residual = constant_residual(pair, y, ctx)
+    if residual >= ctx.tau_res:
+        return None
+    # Imaginary dust far below the polish resolution means a real root (the
+    # system is real); snap it, keeping the residual guarantee.
+    snapped = [mp.mpc(mp.re(v)) if abs(mp.im(v)) < mp.mpf("1e-35") else v for v in y]
+    if snapped != list(y):
+        snapped_residual = constant_residual(pair, snapped, ctx)
+        if snapped_residual < ctx.tau_res:
+            y, residual = snapped, snapped_residual
+    return list(y), residual, info
+
+
 def solve_positive(pair: PairIndexing, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Solution:
     """The solution with all x_i in (0, 1), from one fixed-point start.
 
     The start is the all-ones vector in y coordinates (x = 1/2), driven into
     the attracting basin by the cone-preserving fixed-point iteration; one
-    damped Newton run then polishes it.  Raises NoConvergence when that run
-    fails, misses tau_res or leaves (0, 1).
+    `_polish` run then finishes it.  Raises NoConvergence when the polish
+    finds no root or the root leaves (0, 1).
     """
     system = NahmPolynomialSystem(pair)
     with ctx.workprec(32):
-        result = _newton_mp(system, _positive_fixed_point(pair), ctx)
-        if result is None:
-            raise NoConvergence(f"positive solve failed for {pair.label}")
-        y, info = result
-        residual = constant_residual(pair, y, ctx)
-        if not info["converged"] or residual >= ctx.tau_res:
-            raise NoConvergence(
-                f"positive solve for {pair.label} did not meet tau_res "
-                f"(residual {mp.nstr(residual, 8)})"
-            )
+        found = _polish(pair, system, _positive_fixed_point(pair), ctx)
+        if found is None:
+            raise NoConvergence(f"positive solve for {pair.label} found no root within tau_res")
+        y, residual, info = found
         sol = _solution(pair, [mp.mpc(v) for v in y], residual, 1, info, ctx)
         if any(not (0 < mp.re(v) < 1) for v in sol.x):
             raise NoConvergence(f"positive solve for {pair.label} left (0,1)")
@@ -528,14 +489,12 @@ def solve_all(pair: PairIndexing, budget: SearchBudget | None = None,
 
     Seeds are componentwise r*exp(i*theta) with log r uniform in [-1, 1] and
     theta uniform in [0, 2*pi).  All starts run as one batch of complex128
-    damped Newton (`_newton_batch`); each row rounds as a run of its own
-    would.  Converged float candidates are deduplicated, polished at context
-    precision (a polish that only crawls linearly, as toward the cleared
-    locus 1 + y = 0, ends unconverged after _MP_CRAWL_STEPS steps), filtered
-    against degenerate components and tau_res, joined by the all-positive
-    solution (polished from the same fixed-point start as `solve_positive`),
-    closed under complex conjugation, and deduplicated again at max-norm
-    tolerance 1e-10.  Determined entirely by (starts, seed, ctx).
+    damped Newton (`_newton_batch`); each row rounds as it would in a
+    one-row batch.  Converged float candidates are deduplicated and go
+    through `_polish`, joined by the all-positive solution (polished from
+    the same fixed-point start as `solve_positive`), closed under complex
+    conjugation, and deduplicated again at max-norm tolerance 1e-10.
+    Determined entirely by (starts, seed, ctx) on a given numpy build.
     """
     budget = budget or SearchBudget()
     if pair.n > budget.rank_cap:
@@ -582,22 +541,10 @@ def solve_all(pair: PairIndexing, budget: SearchBudget | None = None,
         return all(max(abs(a - b) for a, b in zip(entry[0], y)) >= DEDUP_TOL for entry in polished)
 
     def _polished(y0):
-        """(y, residual, info) for the root Newton reaches from y0, or None."""
-        result = _newton_mp(system, y0, ctx)
-        ok = result is not None and result[1]["converged"] and not _is_degenerate_vec(result[0])
-        residual = constant_residual(pair, result[0], ctx) if ok else None
-        if not ok or residual >= ctx.tau_res:
+        found = _polish(pair, system, y0, ctx)
+        if found is None:
             stats["polish_rejections"] += 1
-            return None
-        y, info = result
-        # Imaginary dust far below the polish resolution means a real root
-        # (the system is real); snap it, keeping the residual guarantee.
-        snapped = [mp.mpc(mp.re(v)) if abs(mp.im(v)) < mp.mpf("1e-35") else v for v in y]
-        if snapped != list(y):
-            snapped_residual = constant_residual(pair, snapped, ctx)
-            if snapped_residual < ctx.tau_res:
-                y, residual = snapped, snapped_residual
-        return list(y), residual, info
+        return found
 
     with ctx.workprec(32):
         for root, count in reps:

@@ -72,6 +72,20 @@ def test_verify_fiveterm(capsys):
     capsys.readouterr()
 
 
+def test_verify_fiveterm_gate_follows_precision(tmp_path, capsys):
+    # 1e-30 at 128 bits, 2^-128 * 1e-30 (about 2.9e-69) at 256; the residuals
+    # read about 5e-82 there, so the gate still keeps 13 digits of headroom
+    path = tmp_path / "f.json"
+    assert run(["--precision-bits", "256", "--json", str(path), "verify", "fiveterm",
+                "--points", "200"]) == 0
+    records = json.loads(path.read_text())["records"]
+    assert len(records) == 3
+    for r in records:
+        assert r["tolerance"] == 2.0 ** -128 * 1e-30
+        assert r["passed"] and r["residual"] < 1e-78, r
+    capsys.readouterr()
+
+
 def test_verify_requires_pair(capsys):
     assert run(["verify", "wedge"]) == 2
     err = capsys.readouterr().err

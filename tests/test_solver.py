@@ -180,31 +180,39 @@ def _same_roots(a, b):
 
 
 @pytest.mark.parametrize("label", ["A1,T2", "A3,A2", "E6,A1"])
-def test_float_batch_evaluates_like_scalars(label):
-    # the batched evaluator rounds like numpy's scalar complex128 arithmetic,
-    # bit for bit, signed zeros included (y = -1 and y = -0 are in the rows)
+def test_row_evaluator_matches_mp(label, ctx128):
+    # the batched complex128 evaluator against the same system on mp scalars,
+    # with y = -1, a zero component and -0-0j among the rows
     p = pair(label)
     system = NahmPolynomialSystem(p)
     ys = _random_seeds(label, 20, 2) * 3
     ys[0], ys[1, 0], ys[2] = -1, 0, complex(-0.0, -0.0)
-    cols = [solver._Columns(c.real.copy(), c.imag.copy()) for c in ys.T]
-    res = solver._stack(system.residual(cols), len(ys))
-    jac = np.stack([solver._stack(row, len(ys)) for row in system.jacobian(cols)], axis=1)
-    for i, y in enumerate(ys):
-        assert np.asarray(system.residual(y), dtype=complex).tobytes() == res[i].tobytes(), i
-        assert np.asarray(system.jacobian(y), dtype=complex).tobytes() == jac[i].tobytes(), i
+    res = solver._on_rows(system.residual, ys)
+    jac = solver._on_rows(system.jacobian, ys)
+    assert res.shape == (20, p.n) and jac.shape == (20, p.n, p.n)
+    with ctx128.workprec():
+        for i, y in enumerate(ys):
+            y_mp = [mp.mpc(v) for v in y]
+            for got, want in ((res[i], system.residual(y_mp)), (jac[i], system.jacobian(y_mp))):
+                want = mp.matrix(want)
+                got = mp.matrix(got.tolist())
+                assert mp.mnorm(got - want, 1) <= 1e-12 * mp.mnorm(want, 1), (i, got, want)
 
 
 def _newton_one_start(system, y0):
-    """Reference: the per-start float Newton that the batch replaced."""
+    """Reference: the per-start float Newton that the batch replaced, with each
+    start evaluated as a one-row batch."""
+    def residual(y):
+        return solver._on_rows(system.residual, y[None])[0]
+
     y = np.asarray(y0, dtype=complex)
-    r = np.asarray(system.residual(y), dtype=complex)
+    r = residual(y)
     if not np.all(np.isfinite(r)):
         return None
     rnorm = np.max(np.abs(r))
     for _ in range(solver._FLOAT_MAX_ITER):
         try:
-            dy = np.linalg.solve(np.asarray(system.jacobian(y), dtype=complex), -r)
+            dy = np.linalg.solve(solver._on_rows(system.jacobian, y[None])[0], -r)
         except np.linalg.LinAlgError:
             return None
         if not np.all(np.isfinite(dy)):
@@ -212,7 +220,7 @@ def _newton_one_start(system, y0):
         lam = 1.0
         for _ in range(solver._MAX_HALVINGS + 1):
             cand = y + lam * dy
-            rc = np.asarray(system.residual(cand), dtype=complex)
+            rc = residual(cand)
             if np.all(np.isfinite(rc)) and np.max(np.abs(rc)) < rnorm:
                 break
             lam *= 0.5
@@ -378,17 +386,22 @@ def test_branch_diagnostics_no_integer_branch(ctx128):
 
 @pytest.mark.parametrize("label", ["A2,A1", "E6,A1"])
 def test_branch_diagnostics_phase_nudge_fails(label, ctx128):
-    # Re delta sees only arguments, so the control turns the phase of one x_j
-    # (on these real solutions a real rescaling of x_j would leave Re delta,
-    # and branch_ok, unchanged)
+    # Re delta sees only arguments: turning the phase of one x_j moves the
+    # defect.  A real rescaling of x_j leaves Re delta, and the defect,
+    # unchanged on these real solutions; Im delta catches it.
     p = pair(label)
     for s in solve_all(p, SearchBudget(starts=400, seed=0), ctx128).solutions:
+        assert s.branch["delta_imag"] < 1e-40, (label, s.branch)
         with ctx128.workprec():
-            x = list(s.x)
-            x[0] *= mp.expj(mp.mpf("1e-6"))
-        branch = solver.nahm_branch_diagnostics(p, x, ctx128)
+            turned, scaled = list(s.x), list(s.x)
+            turned[0] *= mp.expj(mp.mpf("1e-6"))
+            scaled[0] *= 1 + mp.mpf("1e-6")
+        branch = solver.nahm_branch_diagnostics(p, turned, ctx128)
         assert not branch["branch_ok"], (label, branch)
         assert 1e-8 < branch["branch_defect"] < 1e-6, (label, branch)
+        branch = solver.nahm_branch_diagnostics(p, scaled, ctx128)
+        assert not branch["branch_ok"], (label, branch)
+        assert branch["branch_defect"] < 1e-12 and 1e-8 < branch["delta_imag"] < 1e-6, (label, branch)
 
 
 def test_integer_solve():
