@@ -140,16 +140,16 @@ class NahmPolynomialSystem:
 
 
 def _on_rows(evaluate, y):
-    """evaluate, a system's residual or jacobian, at every row of y (rows x n)
-    at once, as a (rows, n) or (rows, n, n) complex array.
+    """evaluate (a system's residual or jacobian) on the complex128 columns
+    y.T, as a (rows, n) or (rows, n, n) array over the rows of y."""
+    return _rows_first(evaluate(list(y.T)), len(y))
 
-    The evaluator runs once on the complex128 columns y.T, so each entry it
-    returns is an array over the rows or one of the constants 0 and 1.
-    """
-    def stack(entries):
-        return np.stack([stack(e) if isinstance(e, list) else np.broadcast_to(e, len(y))
-                         for e in entries], axis=1, dtype=complex)
-    return stack(evaluate(list(y.T)))
+
+def _rows_first(entries, rows):
+    """Evaluator entries (arrays over the rows, or the constants 0 and 1),
+    nested in lists, stacked with the rows as the first axis."""
+    return np.stack([_rows_first(e, rows) if isinstance(e, list) else np.broadcast_to(e, rows)
+                     for e in entries], axis=1, dtype=complex)
 
 
 def _solve_rows(jac, rhs):
