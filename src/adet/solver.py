@@ -85,7 +85,7 @@ class NahmPolynomialSystem:
 
     Polymorphic over the scalar type: works with mpmath numbers and with
     the complex128 columns of a float batch alike (only +, -, * and ** int
-    are used).
+    are used); a batch row rounds as it would in a one-row batch.
     """
 
     def __init__(self, pair: PairIndexing):
