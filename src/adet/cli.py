@@ -257,7 +257,7 @@ def _check_torsion(pair, ctx, starts, seed, tol_scale):
 
 
 def _check_fiveterm(ctx, rng, count, tol_scale) -> list:
-    # 1e-30 at 128 bits, tightened by 2^-1 for every further bit
+    # scales with the unit roundoff 2^-bits: 1e-30 at 128 bits
     tol = 1e-30 * 2.0 ** (128 - ctx.mantissa_bits) * tol_scale
     worst_five = mp.mpf(0)
     worst_refl = mp.mpf(0)
