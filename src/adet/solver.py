@@ -436,8 +436,9 @@ def _positive_fixed_point(pair: PairIndexing):
 
 def _solution(pair, y, residual, count, info, ctx) -> Solution:
     """The Solution at a polished root y, with x = y/(1+y) and its branch diagnostics."""
+    y = tuple(mp.mpc(v) for v in y)
     x = tuple(y_to_x(y, ctx))
-    return Solution(x=x, y=tuple(mp.mpc(v) for v in y), residual=residual,
+    return Solution(x=x, y=y, residual=residual,
                     multiplicity_hint=count, branch=nahm_branch_diagnostics(pair, x, ctx),
                     newton=info)
 
@@ -477,7 +478,7 @@ def solve_positive(pair: PairIndexing, ctx: PrecisionContext = DEFAULT_CONTEXT) 
         if found is None:
             raise NoConvergence(f"positive solve for {pair.label} found no root within tau_res")
         y, residual, info = found
-        sol = _solution(pair, [mp.mpc(v) for v in y], residual, 1, info, ctx)
+        sol = _solution(pair, y, residual, 1, info, ctx)
         if any(not (0 < mp.re(v) < 1) for v in sol.x):
             raise NoConvergence(f"positive solve for {pair.label} left (0,1)")
         return sol

@@ -3,17 +3,17 @@
 The vanishing wedge sum  sum_{S+} d * Y ^ (1 + Y)  is tested through linear
 functionals that kill every relation of the wedge construction:
 
-* single evaluation point a: the antisymmetric gradient 2-form
-      M = sum d * (grad log Y  (x)  grad log(1+Y) - transpose),
-  whose Frobenius norm must vanish.  For rank-1 pairs this realization is
-  identically zero (a 1x1 antisymmetric matrix), so it cannot detect errors
-  there;
 * two evaluation points (a, b): the bilinear pairing
       M_pq = sum d * (d_p log Y(a) * d_q log(1+Y)(b)
                       - d_p log(1+Y)(a) * d_q log Y(b)),
-  which reduces to the single-point form at b = a and stays informative for
-  rank-1 pairs.  Negative controls (a bumped recurrence exponent, or a single
-  multiplicity d lowered by one) must push these residuals above 1e-3.
+  whose Frobenius norm must vanish; it stays informative for rank-1 pairs.
+  Negative controls (a bumped recurrence exponent, or a single
+  multiplicity d lowered by one) must push these residuals above 1e-3;
+* single evaluation point a: the same pairing at b = a.  Each swapped
+  product then rounds identically, so M is exactly antisymmetric: the
+  gradient 2-form  sum d * grad log Y ^ grad log(1+Y).  For rank-1 pairs it
+  is identically zero (a 1x1 antisymmetric matrix), so it cannot detect
+  errors there.
 
 Gradients with respect to the seed vector are computed by forward-mode
 differentiation of the recurrence (jets); finite differences are kept as an
@@ -108,24 +108,10 @@ def _jet_grid(pair: PairIndexing, point, u_max: int, ctx: PrecisionContext) -> d
     Y(0) = y on the u=0 actives, Y(-1) = 1/y on the u=-1 actives.
     """
     n = pair.n
-    y = [to_mpc(v) for v in point]
-    tol = ctx.tau_res
-    for k, v in enumerate(y):
-        if abs(v) <= tol:
-            raise DegenerateStep("zero seed component", index=pair.indices[k], u=0)
-    levels: dict[int, dict] = {-1: {}, 0: {}}
-    for k in pair.active_indices(0):
-        levels[0][k] = Jet.variable(y[k], k, n)
-    for k in pair.active_indices(-1):
-        inv = 1 / y[k]
-        grad = [mp.mpc(0)] * n
-        grad[k] = -inv * inv
-        levels[-1][k] = Jet(inv, grad)
-    for u in range(u_max):
-        ks = pair.active_indices(u + 1)
-        levels[u + 1] = ysystem._next_level(
-            pair, levels[u - 1], levels[u], ks, tol, _jet_magnitude, u + 1
-        )
+    y = [Jet.variable(v, k, n) for k, v in enumerate(ysystem._seeds(pair, point, ctx.tau_res))]
+    levels = ysystem._levels(pair, {k: 1 / y[k] for k in pair.active_indices(-1)},
+                             {k: y[k] for k in pair.active_indices(0)},
+                             u_max, ctx.tau_res, _jet_magnitude, pair.active_indices)
     return {(k, u): jet for u, level in levels.items() for k, jet in level.items()}
 
 
@@ -152,10 +138,10 @@ def wedge_form_residual(pair: PairIndexing, point, ctx: PrecisionContext = DEFAU
                         point_b=None, d_override=None) -> WedgeResidual:
     """Evaluate the gradient realization of the wedge constancy condition.
 
-    With point_b=None the matrix is exactly antisymmetrized before norming
-    (the single-point 2-form); otherwise the two-point bilinear pairing is
-    used.  Both vanish on a correct recurrence with the correct per-element
-    multiplicities.
+    The two-point bilinear pairing at (point, point_b); point_b=None means
+    b = a, the single-point 2-form, which is exactly antisymmetric and
+    identically 0 at rank 1.  Both vanish on a correct recurrence with the
+    correct per-element multiplicities.
     """
     n = pair.n
     with ctx.workprec(32):
@@ -178,8 +164,6 @@ def wedge_form_residual(pair: PairIndexing, point, ctx: PrecisionContext = DEFAU
                 row = m[p]
                 for q in range(n):
                     row[q] += d * (gap * hb[q] - hap * gb[q])
-        if point_b is None:
-            m = [[(m[p][q] - m[q][p]) / 2 for q in range(n)] for p in range(n)]
         frob = mp.sqrt(mp.fsum(abs(m[p][q]) ** 2 for p in range(n) for q in range(n)))
     return WedgeResidual(
         pair=pair.label,

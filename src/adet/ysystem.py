@@ -11,11 +11,12 @@ index is read from `PairIndexing.factors`, the one place the recurrence is
 encoded; the constant Y-system (`constant_residual`), the tropical degrees
 behind `monomial_sign` and the Nahm solver read the same plan.
 
-Seeding follows the canonical rule Y(0) = y and Y(-1) = 1/y componentwise.
+Seeding follows the canonical rule Y(0) = y and Y(-1) = 1/y componentwise
+(`_seeds`), and one level loop (`_levels`) runs the recurrence from there.
 For bipartite pairs this fills both decoupled parity copies at once: the
 values with (index, u) in P+ are exactly the canonical rational functions of
-the seed vector y, while the opposite-parity copy can be reseeded
-independently (`y_minus`) without touching a single P+ value.
+the seed vector y and never read the opposite-parity copy, so the jets of
+`verify` run the same loop on the P+ indices alone.
 """
 from __future__ import annotations
 
@@ -38,7 +39,8 @@ __all__ = [
     "constant_residual",
 ]
 
-# Magnitudes beyond this trigger a re-run of the affected parity copy at 256 bits.
+# Magnitudes beyond this (or below its inverse) anywhere on the grid trigger a
+# re-run of the whole grid at 256 bits.
 ESCALATION_THRESHOLD = 1e30
 ESCALATED_BITS = 256
 
@@ -103,7 +105,6 @@ class YTrajectory:
     pair: PairIndexing
     u_max: int
     values: dict
-    seed: dict
     precision_bits: int
 
     def value(self, k: int, u: int):
@@ -119,86 +120,54 @@ class YTrajectory:
         return {"pair": self.pair.label, "u": us, "values": out}
 
 
-def _copy_id(pair: PairIndexing, k: int, u: int) -> int:
-    return 0 if pair.in_P_plus(k, u) else 1
-
-
-def _seed_levels(pair: PairIndexing, y, y_minus, tol):
-    n = pair.n
+def _seeds(pair: PairIndexing, y, tol) -> list:
+    """The seed vector y as mp numbers; DegenerateStep at a zero component."""
     yv = [to_mpc(v) for v in y]
-    ymv = yv if y_minus is None else [to_mpc(v) for v in y_minus]
-    for vec in (yv, ymv):
-        for k, v in enumerate(vec):
-            if abs(v) <= tol:
-                raise DegenerateStep("zero seed component", index=pair.indices[k], u=0)
-    level0, levelm1 = {}, {}
-    for k in range(n):
-        plus = pair.degenerate or pair.eps[k] == 1
-        level0[k] = yv[k] if plus else ymv[k]
-        levelm1[k] = (1 / ymv[k]) if plus else (1 / yv[k])
-    return levelm1, level0
+    for k, v in enumerate(yv):
+        if abs(v) <= tol:
+            raise DegenerateStep("zero seed component", index=pair.indices[k], u=0)
+    return yv
 
 
-def _run_grid(pair: PairIndexing, y, y_minus, u_max: int, bits: int, tol):
-    """Iterate the full grid at the given precision; returns levels and the
-    per-parity-copy magnitude peaks (max of |Y| and 1/|Y|)."""
+def _levels(pair: PairIndexing, level_m1: dict, level_0: dict, u_max: int, tol, mag, active) -> dict:
+    """Levels -1 <= u <= u_max of the recurrence from its two seed levels;
+    level u holds the indices `active(u)`."""
+    levels = {-1: level_m1, 0: level_0}
+    for u in range(u_max):
+        levels[u + 1] = _next_level(pair, levels[u - 1], levels[u], active(u + 1), tol, mag, u + 1)
+    return levels
+
+
+def _run_grid(pair: PairIndexing, y, u_max: int, bits: int, tol):
+    """Iterate the full grid at the given precision; returns the levels and
+    their magnitude peak (max of |Y| and 1/|Y|)."""
     with mp.workprec(bits + GUARD_BITS):
-        levels = {}
-        levels[-1], levels[0] = _seed_levels(pair, y, y_minus, tol)
-        peak = [0.0, 0.0]
-
-        def track(u):
-            for k, v in levels[u].items():
-                a = abs(v)
-                m = float(max(a, 1 / a)) if a > 0 else float("inf")
-                c = _copy_id(pair, k, u)
-                if m > peak[c]:
-                    peak[c] = m
-
-        track(-1)
-        track(0)
-        for u in range(u_max):
-            levels[u + 1] = _next_level(pair, levels[u - 1], levels[u], range(pair.n), tol, abs, u + 1)
-            track(u + 1)
+        yv = _seeds(pair, y, tol)
+        levels = _levels(pair, {k: 1 / v for k, v in enumerate(yv)}, dict(enumerate(yv)),
+                         u_max, tol, abs, lambda u: range(pair.n))
+        peak = max(float(max(a, 1 / a)) if a > 0 else float("inf")
+                   for level in levels.values() for a in map(abs, level.values()))
     return levels, peak
 
 
-def iterate(pair: PairIndexing, y, u_max: int, ctx: PrecisionContext = DEFAULT_CONTEXT,
-            y_minus=None) -> YTrajectory:
+def iterate(pair: PairIndexing, y, u_max: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> YTrajectory:
     """Fill the trajectory for -1 <= u <= u_max from seeds Y(0)=y, Y(-1)=1/y.
 
-    `y_minus`, if given for a bipartite pair, reseeds the opposite-parity copy
-    (Y(0) on I-, Y(-1) on I+); P+ values are bitwise independent of it.  When
-    any magnitude in a copy exceeds 1e30 (or drops below 1e-30) and the
-    context is below 256 bits, that copy is recomputed at 256 bits.
+    When any magnitude on the grid exceeds 1e30 (or drops below 1e-30) and
+    the context is below 256 bits, the whole grid is recomputed at 256 bits.
     """
     if u_max < 0:
         raise ValueError("u_max must be nonnegative")
-    if pair.degenerate and y_minus is not None:
-        raise ValueError("tadpole pairs carry a single copy; y_minus is not applicable")
     if len(y) != pair.n:
         raise ValueError(f"expected a seed vector of length {pair.n}")
     tol = ctx.tau_res
-    levels, peak = _run_grid(pair, y, y_minus, u_max, ctx.mantissa_bits, tol)
-    escalate = [
-        ctx.mantissa_bits < ESCALATED_BITS and p > ESCALATION_THRESHOLD for p in peak
-    ]
-    levels_hi = None
-    if any(escalate):
-        levels_hi, _ = _run_grid(pair, y, y_minus, u_max, ESCALATED_BITS, tol)
-    values = {}
-    for u in range(-1, u_max + 1):
-        for k in range(pair.n):
-            src = levels_hi if (levels_hi is not None and escalate[_copy_id(pair, k, u)]) else levels
-            values[(k, u)] = src[u][k]
-    bits_used = ESCALATED_BITS if any(escalate) else ctx.mantissa_bits
-    seed_info = {
-        "rule": "Y(0)=y, Y(-1)=1/y",
-        "y": [str(to_mpc(v)) for v in y],
-        "y_minus": None if y_minus is None else [str(to_mpc(v)) for v in y_minus],
-    }
-    return YTrajectory(pair=pair, u_max=u_max, values=values, seed=seed_info,
-                       precision_bits=bits_used)
+    bits = ctx.mantissa_bits
+    levels, peak = _run_grid(pair, y, u_max, bits, tol)
+    if bits < ESCALATED_BITS and peak > ESCALATION_THRESHOLD:
+        bits = ESCALATED_BITS
+        levels, _ = _run_grid(pair, y, u_max, bits, tol)
+    values = {(k, u): v for u, level in levels.items() for k, v in level.items()}
+    return YTrajectory(pair=pair, u_max=u_max, values=values, precision_bits=bits)
 
 
 def check_periodicity(traj: YTrajectory, ctx: PrecisionContext = DEFAULT_CONTEXT) -> VerificationReport:

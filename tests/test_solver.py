@@ -307,6 +307,15 @@ def test_solve_all_holds_positive_solution(label, ctx128):
                        for s in sols.solutions), (label, seed)
 
 
+def test_solution_coordinates_are_mpc(ctx128):
+    # x is derived from y after y is made complex, so a real root still
+    # yields complex x on every path (D4,A1's positive root at 200 starts)
+    sols = list(solve_all(pair("D4,A1"), SearchBudget(starts=200, seed=1), ctx128).solutions)
+    sols += [solve_positive(pair(label), ctx128) for label in ("A1,T1", "D4,A1")]
+    for sol in sols:
+        assert all(type(v) is mp.mpc for v in sol.x + sol.y), (sol.x, sol.y)
+
+
 def test_solve_all_seed_stability(ctx128):
     # same solution set from two independent multistart runs
     p = pair("A2,A1")

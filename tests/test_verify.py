@@ -68,6 +68,8 @@ def test_wedge_single_point_vanishes(label, ctx128, rng):
     for pt in sample_points(p, 5, rng):
         w = wedge_form_residual(p, pt, ctx128)
         assert w.residual < WEDGE_TOL, (label, mp.nstr(w.residual, 5))
+        # the single-point form is the two-point pairing at b = a, bit for bit
+        assert wedge_form_residual(p, pt, ctx128, point_b=pt).residual == w.residual
 
 
 def test_wedge_single_point_identically_zero_for_rank_one(ctx128):

@@ -8,7 +8,8 @@ import pytest
 import adet
 from adet import check_periodicity, constant_residual, iterate, monomial_sign, y_step
 from adet.errors import DegenerateInput, DegenerateStep, WindowTooShort
-from adet.ysystem import _next_level, _tropical_degrees
+from adet.precision import GUARD_BITS
+from adet.ysystem import _levels, _seeds, _tropical_degrees
 
 from conftest import ACCEPT_PAIRS, all_pairs_up_to, pair
 
@@ -76,23 +77,21 @@ def test_iterate_zero_seed_raises(ctx128):
 
 
 def test_decoupling_bit_identical(ctx128, rng):
-    # P+ values never read the opposite-parity copy
-    p = pair("A2,A1")
-    y = list(rng.uniform(0.5, 2.0, p.n))
-    other = list(rng.uniform(0.5, 2.0, p.n))
-    t1 = iterate(p, y, p.period, ctx128)
-    t2 = iterate(p, y, p.period, ctx128, y_minus=other)
-    for (k, u), v in t1.values.items():
-        if p.in_P_plus(k, u):
-            assert t2.values[(k, u)] == v  # bitwise equal
-    assert any(
-        t2.values[(k, u)] != v for (k, u), v in t1.values.items() if not p.in_P_plus(k, u)
-    )
-
-
-def test_y_minus_rejected_for_tadpole(ctx128):
-    with pytest.raises(ValueError):
-        iterate(pair("A1,T1"), [1.0], 4, ctx128, y_minus=[2.0])
+    # P+ values never read the opposite-parity copy: the level loop on the
+    # P+ indices alone (as the jets run it) reproduces iterate's P+ values
+    for label in ("A2,A1", "E6,A1", "D4,A2", "A3,A3", "A1,T2"):
+        p = pair(label)
+        y = list(rng.uniform(0.5, 2.0, p.n))
+        traj = iterate(p, y, p.period, ctx128)
+        with mp.workprec(ctx128.mantissa_bits + GUARD_BITS):
+            yv = _seeds(p, y, ctx128.tau_res)
+            levels = _levels(p, {k: 1 / yv[k] for k in p.active_indices(-1)},
+                             {k: yv[k] for k in p.active_indices(0)},
+                             p.period, ctx128.tau_res, abs, p.active_indices)
+        plus = {(k, u): v for u, level in levels.items() for k, v in level.items()}
+        assert set(plus) == {key for key in traj.values if p.in_P_plus(*key)}, label
+        for key, v in plus.items():
+            assert traj.values[key] == v, (label, key)  # bitwise equal
 
 
 def test_backward_step_recovers_previous(ctx128, rng):
@@ -235,18 +234,22 @@ def test_periodicity_exact_rational_seeds():
     for label in all_pairs_up_to(8) + ["E6,E6", "E7,E7"]:
         p = pair(label)
         y = [Fraction(int(a), int(b)) for a, b in rng.integers(1, 10, size=(p.n, 2))]
-        levels = {-1: {k: 1 / v for k, v in enumerate(y)}, 0: dict(enumerate(y))}
-        for u in range(p.period):
-            levels[u + 1] = _next_level(p, levels[u - 1], levels[u], range(p.n), 0, abs, u + 1)
+        levels = _levels(p, {k: 1 / v for k, v in enumerate(y)}, dict(enumerate(y)),
+                         p.period, 0, abs, lambda u: range(p.n))
         assert levels[p.period - 1] == levels[-1] and levels[p.period] == levels[0], label
 
 
 def test_escalation_on_extreme_magnitudes():
-    # deep-epsilon seeds push |Y| past 1e30, forcing the 256-bit re-run
-    p = pair("A1,T2")
+    # deep-epsilon seeds push |Y| past 1e30, forcing the 256-bit re-run of the
+    # whole grid: every value is then the one a 256-bit context computes
     ctx = replace(adet.DEFAULT_CONTEXT, tau_res=1e-300)
-    traj = iterate(p, [1e-8] * p.n, p.period - 1, ctx)
-    assert traj.precision_bits == 256
+    ctx_hi = replace(ctx, mantissa_bits=256)
+    for label, eps in (("A1,T2", 1e-8), ("A2,A1", 1e-20)):
+        p = pair(label)
+        traj = iterate(p, [eps] * p.n, p.period - 1, ctx)
+        assert traj.precision_bits == 256, label
+        direct = iterate(p, [eps] * p.n, p.period - 1, ctx_hi)
+        assert traj.values == direct.values, label
 
 
 def test_constant_residual_values(ctx128):
