@@ -50,7 +50,7 @@ for a, b in (("A1", "T1"), ("A2", "A1"), ("T1", "T1")):
     s = dilog_sum_over_Splus(p, pt)
     print(f"  ({a},{b}): |sum d D(f)| = {mp.nstr(abs(s), 3)}")
 
-print("\nwedge 2-form residuals (single evaluation point):")
+print("\nwedge pairing residuals (point a paired with b = 1/a):")
 for a, b in (("A2", "A1"), ("A1", "T2"), ("D4", "A1")):
     p = pair(a, b)
     pt = [complex(x, 0.1 * e) for x, e in zip(rng.uniform(0.5, 2, p.n), rng.uniform(-1, 1, p.n))]

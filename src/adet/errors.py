@@ -40,7 +40,3 @@ class NoConvergence(AdetError, RuntimeError):
 
 class NonIntegralExponent(AdetError, ValueError):
     """A lattice point contributes a non-integer power of q to a series."""
-
-
-class ReconstructionFailed(AdetError, ArithmeticError):
-    """No small-denominator rational lies within tolerance of the measured value."""

@@ -1,23 +1,21 @@
 """Constancy-condition and dilogarithm-sum certification over S+.
 
-The vanishing wedge sum  sum_{S+} d * Y ^ (1 + Y)  is tested through linear
-functionals that kill every relation of the wedge construction:
+The vanishing wedge sum  sum_{S+} d * Y ^ (1 + Y)  is tested through the
+bilinear pairing of its logarithmic gradients at two evaluation points (a, b).
+With x = Y/(1+Y) one has grad log(1+Y) = x * grad log Y, so writing
+G = grad log Y the pairing is
 
-* two evaluation points (a, b): the bilinear pairing
-      M_pq = sum d * (d_p log Y(a) * d_q log(1+Y)(b)
-                      - d_p log(1+Y)(a) * d_q log Y(b)),
-  whose Frobenius norm must vanish; it stays informative for rank-1 pairs.
-  Negative controls (a bumped recurrence exponent, or a single
-  multiplicity d lowered by one) must push these residuals above 1e-3;
-* single evaluation point a: the same pairing at b = a.  Each swapped
-  product then rounds identically, so M is exactly antisymmetric: the
-  gradient 2-form  sum d * grad log Y ^ grad log(1+Y).  For rank-1 pairs it
-  is identically zero (a 1x1 antisymmetric matrix), so it cannot detect
-  errors there.
+    M = sum_{S+} d * (x(b) - x(a)) * G(a) G(b)^T,
 
-Gradients with respect to the seed vector are computed by forward-mode
-differentiation of the recurrence (jets); finite differences are kept as an
-independent cross-check.
+whose Frobenius norm must vanish.  By default b = 1/a componentwise.  At
+b = a every term is the wedge of two parallel vectors and M is exactly 0
+whatever the recurrence, so a single point carries no information.  Negative
+controls (a bumped recurrence exponent, or a single multiplicity d lowered by
+one) must push the residual above 1e-3.
+
+G is computed by the tangent (linearized) Y-system on the same P+ levels as
+the values (`_tangent_grid`); finite differences (`log_gradients_fd`) are kept
+as an independent cross-check.
 """
 from __future__ import annotations
 
@@ -32,7 +30,6 @@ from .precision import DEFAULT_CONTEXT, PrecisionContext, to_mpc
 from . import ysystem
 
 __all__ = [
-    "Jet",
     "WedgeResidual",
     "wedge_form_residual",
     "dilog_sum_over_Splus",
@@ -41,78 +38,38 @@ __all__ = [
 ]
 
 
-class Jet:
-    """Value plus gradient (forward-mode differentiation over mp complex)."""
+def _tangent_grid(pair: PairIndexing, point, u_max: int, ctx: PrecisionContext) -> dict:
+    """(Y, x, G) on the P+ sublattice for -1 <= u <= u_max, where x = Y/(1+Y)
+    and G = grad log Y with respect to the seed vector y.
 
-    __slots__ = ("val", "grad")
-
-    def __init__(self, val, grad):
-        self.val = val
-        self.grad = tuple(grad)
-
-    @classmethod
-    def variable(cls, val, index, n):
-        return cls(val, tuple(mp.mpc(1) if j == index else mp.mpc(0) for j in range(n)))
-
-    def __add__(self, other):
-        if isinstance(other, Jet):
-            return Jet(self.val + other.val, tuple(a + b for a, b in zip(self.grad, other.grad)))
-        return Jet(self.val + other, self.grad)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, Jet):
-            return Jet(
-                self.val * other.val,
-                tuple(a * other.val + self.val * b for a, b in zip(self.grad, other.grad)),
-            )
-        return Jet(self.val * other, tuple(a * other for a in self.grad))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            inv = 1 / other.val
-            v = self.val * inv
-            return Jet(v, tuple((a - v * b) * inv for a, b in zip(self.grad, other.grad)))
-        inv = 1 / other
-        return Jet(self.val * inv, tuple(a * inv for a in self.grad))
-
-    def __rtruediv__(self, other):
-        # other / self with other a plain scalar
-        inv = 1 / self.val
-        v = other * inv
-        return Jet(v, tuple(-v * inv * a for a in self.grad))
-
-    def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            raise TypeError("jets support nonnegative integer powers only")
-        if e == 0:
-            return Jet(self.val * 0 + 1, tuple(a * 0 for a in self.grad))
-        v = self.val ** (e - 1)
-        return Jet(v * self.val, tuple(e * v * a for a in self.grad))
-
-    def __neg__(self):
-        return Jet(-self.val, tuple(-a for a in self.grad))
-
-
-def _jet_magnitude(v):
-    return abs(v.val) if isinstance(v, Jet) else abs(v)
-
-
-def _jet_grid(pair: PairIndexing, point, u_max: int, ctx: PrecisionContext) -> dict:
-    """Jets of Y on the P+ sublattice for -1 <= u <= u_max.
-
-    Seeds carry unit gradients with respect to the seed vector y:
-    Y(0) = y on the u=0 actives, Y(-1) = 1/y on the u=-1 actives.
+    Y comes from the recurrence seeded by `ysystem._seeds`.  Taking logs of
+    the recurrence, with d log(1+Y) = x d log Y and d log(1+1/Y) = (x-1) d log Y,
+    gives the linear tangent recurrence on the plan `pair.factors`:
+        G_k(u+1) = sum_ups m x_j(u) G_j(u) + sum_downs m (1-x_j(u)) G_j(u) - G_k(u-1),
+    seeded by G(0) = e_k/y_k and G(-1) = -e_k/y_k.
     """
-    n = pair.n
-    y = [Jet.variable(v, k, n) for k, v in enumerate(ysystem._seeds(pair, point, ctx.tau_res))]
-    levels = ysystem._levels(pair, {k: 1 / y[k] for k in pair.active_indices(-1)},
-                             {k: y[k] for k in pair.active_indices(0)},
-                             u_max, ctx.tau_res, _jet_magnitude, pair.active_indices)
-    return {(k, u): jet for u, level in levels.items() for k, jet in level.items()}
+    n, tol, active = pair.n, ctx.tau_res, pair.active_indices
+    y = ysystem._seeds(pair, point, tol)
+    levels = ysystem._levels(pair, {k: 1 / y[k] for k in active(-1)},
+                             {k: y[k] for k in active(0)}, u_max, tol, active)
+    xs, grads = {}, {}
+    for u, level in levels.items():
+        for k, v in level.items():
+            if abs(1 + v) <= tol:
+                raise DegenerateStep("1+Y vanished", index=pair.indices[k], u=u)
+            xs[k, u] = v / (1 + v)
+    for u, sign in ((-1, -1), (0, 1)):
+        for k in active(u):
+            grads[k, u] = [sign / y[k] if q == k else 0 for q in range(n)]
+    for u in range(u_max):
+        for k in active(u + 1):
+            ups, downs = pair.factors[k]
+            terms = [(j, m * xs[j, u]) for j, m in ups] + [(j, m * (1 - xs[j, u])) for j, m in downs]
+            g = [-a for a in grads[k, u - 1]]
+            for j, c in terms:
+                g = [a + c * b for a, b in zip(g, grads[j, u])]
+            grads[k, u + 1] = g
+    return {(k, u): (levels[u][k], xs[k, u], g) for (k, u), g in grads.items()}
 
 
 def _resolve_d(pair: PairIndexing, d_override, k: int, u: int) -> int:
@@ -129,46 +86,41 @@ class WedgeResidual:
 
     pair: str
     point: tuple
-    point_b: tuple | None
+    point_b: tuple
     residual: object  # mpf
     size: int
 
 
 def wedge_form_residual(pair: PairIndexing, point, ctx: PrecisionContext = DEFAULT_CONTEXT, *,
                         point_b=None, d_override=None) -> WedgeResidual:
-    """Evaluate the gradient realization of the wedge constancy condition.
+    """Frobenius norm of  M = sum_{S+} d * (x(b) - x(a)) * G(a) G(b)^T  at
+    a = point and b = point_b, with x = Y/(1+Y) and G = grad log Y.
 
-    The two-point bilinear pairing at (point, point_b); point_b=None means
-    b = a, the single-point 2-form, which is exactly antisymmetric and
-    identically 0 at rank 1.  Both vanish on a correct recurrence with the
-    correct per-element multiplicities.
+    point_b=None means b = 1/a componentwise.  M vanishes on a correct
+    recurrence with the correct per-element multiplicities; at b = a it is
+    exactly 0 on any recurrence.
     """
     n = pair.n
     with ctx.workprec(32):
         try:
-            ja = _jet_grid(pair, point, pair.period - 1, ctx)
-            jb = ja if point_b is None else _jet_grid(pair, point_b, pair.period - 1, ctx)
+            ta = _tangent_grid(pair, point, pair.period - 1, ctx)
+            b = [1 / to_mpc(v) for v in point] if point_b is None else point_b
+            tb = _tangent_grid(pair, b, pair.period - 1, ctx)
         except DegenerateStep as exc:
             raise DegeneratePoint(f"degenerate trajectory from evaluation point: {exc}") from exc
-        m = [[mp.mpc(0) for _ in range(n)] for _ in range(n)]
+        m = [[mp.mpc(0)] * n for _ in range(n)]
         for (k, u) in pair.S_plus():
-            d = _resolve_d(pair, d_override, k, u)
-            a = ja[(k, u)]
-            b = jb[(k, u)]
-            ga = [g / a.val for g in a.grad]
-            ha = [g / (1 + a.val) for g in a.grad]
-            gb = [g / b.val for g in b.grad]
-            hb = [g / (1 + b.val) for g in b.grad]
+            _, xa, ga = ta[k, u]
+            _, xb, gb = tb[k, u]
+            c = _resolve_d(pair, d_override, k, u) * (xb - xa)
             for p in range(n):
-                gap, hap = ga[p], ha[p]
-                row = m[p]
-                for q in range(n):
-                    row[q] += d * (gap * hb[q] - hap * gb[q])
-        frob = mp.sqrt(mp.fsum(abs(m[p][q]) ** 2 for p in range(n) for q in range(n)))
+                cp = c * ga[p]
+                m[p] = [e + cp * g for e, g in zip(m[p], gb)]
+        frob = mp.sqrt(mp.fsum(abs(e) ** 2 for row in m for e in row))
     return WedgeResidual(
         pair=pair.label,
         point=tuple(to_mpc(v) for v in point),
-        point_b=None if point_b is None else tuple(to_mpc(v) for v in point_b),
+        point_b=tuple(to_mpc(v) for v in b),
         residual=frob,
         size=n,
     )
@@ -223,8 +175,9 @@ def log_gradients_fd(pair: PairIndexing, point, k: int, u: int,
                      ctx: PrecisionContext = DEFAULT_CONTEXT, step="1e-20"):
     """Central-difference gradients of log Y_k(u) and log(1+Y_k(u)).
 
-    Independent cross-check for the forward-mode jets; runs at >= 256 bits so
-    the O(step) cancellation leaves ample accuracy.
+    Independent cross-check for the tangent recurrence (`_tangent_grid`):
+    G = grad log Y and x * G = grad log(1+Y).  Runs at >= 256 bits so the
+    O(step) cancellation leaves ample accuracy.
     """
     bits = max(ctx.mantissa_bits, 256)
     fd_ctx = replace(ctx, mantissa_bits=bits)

@@ -15,8 +15,8 @@ Seeding follows the canonical rule Y(0) = y and Y(-1) = 1/y componentwise
 (`_seeds`), and one level loop (`_levels`) runs the recurrence from there.
 For bipartite pairs this fills both decoupled parity copies at once: the
 values with (index, u) in P+ are exactly the canonical rational functions of
-the seed vector y and never read the opposite-parity copy, so the jets of
-`verify` run the same loop on the P+ indices alone.
+the seed vector y and never read the opposite-parity copy, so the tangent
+grid of `verify` runs the same loop on the P+ indices alone.
 """
 from __future__ import annotations
 
@@ -45,12 +45,12 @@ ESCALATION_THRESHOLD = 1e30
 ESCALATED_BITS = 256
 
 
-def _next_level(pair: PairIndexing, prev: dict, cur: dict, ks, tol, mag, u):
+def _next_level(pair: PairIndexing, prev: dict, cur: dict, ks, tol, u):
     """One recurrence step; `prev`/`cur` map flattened indices to values.
 
     The right-hand side for index k is the plan `pair.factors[k]`.  Works for
-    any value type supporting +, *, /, ** int (mp numbers, jets); `mag`
-    extracts a magnitude for the degeneracy checks.
+    any value type supporting +, *, /, ** int and abs (mp numbers,
+    Fractions); a factor or divisor of magnitude <= tol raises `DegenerateStep`.
     """
     out = {}
     indices = pair.indices
@@ -59,22 +59,22 @@ def _next_level(pair: PairIndexing, prev: dict, cur: dict, ks, tol, mag, u):
         num = None
         for j, m in ups:
             f = 1 + cur[j]
-            if mag(f) <= tol:
+            if abs(f) <= tol:
                 raise DegenerateStep("factor 1+Y vanished", index=indices[j], u=u)
             fm = f if m == 1 else f ** m
             num = fm if num is None else num * fm
         den = None
         for j, m in downs:
             yv = cur[j]
-            if mag(yv) <= tol:
+            if abs(yv) <= tol:
                 raise DegenerateStep("Y vanished where its inverse is needed", index=indices[j], u=u)
             f = 1 + 1 / yv
-            if mag(f) <= tol:
+            if abs(f) <= tol:
                 raise DegenerateStep("factor 1+1/Y vanished", index=indices[j], u=u)
             fm = f if m == 1 else f ** m
             den = fm if den is None else den * fm
         pv = prev[k]
-        if mag(pv) <= tol:
+        if abs(pv) <= tol:
             raise DegenerateStep("Y(u-1) vanished", index=indices[k], u=u)
         val = num if num is not None else 1
         if den is not None:
@@ -94,7 +94,7 @@ def y_step(pair: PairIndexing, y_prev, y_cur, ctx: PrecisionContext = DEFAULT_CO
     with ctx.workprec():
         prev = {k: to_mpc(v) for k, v in enumerate(y_prev)}
         cur = {k: to_mpc(v) for k, v in enumerate(y_cur)}
-        out = _next_level(pair, prev, cur, range(pair.n), ctx.tau_res, abs, u=None)
+        out = _next_level(pair, prev, cur, range(pair.n), ctx.tau_res, u=None)
         return [out[k] for k in range(pair.n)]
 
 
@@ -129,12 +129,12 @@ def _seeds(pair: PairIndexing, y, tol) -> list:
     return yv
 
 
-def _levels(pair: PairIndexing, level_m1: dict, level_0: dict, u_max: int, tol, mag, active) -> dict:
+def _levels(pair: PairIndexing, level_m1: dict, level_0: dict, u_max: int, tol, active) -> dict:
     """Levels -1 <= u <= u_max of the recurrence from its two seed levels;
     level u holds the indices `active(u)`."""
     levels = {-1: level_m1, 0: level_0}
     for u in range(u_max):
-        levels[u + 1] = _next_level(pair, levels[u - 1], levels[u], active(u + 1), tol, mag, u + 1)
+        levels[u + 1] = _next_level(pair, levels[u - 1], levels[u], active(u + 1), tol, u + 1)
     return levels
 
 
@@ -144,7 +144,7 @@ def _run_grid(pair: PairIndexing, y, u_max: int, bits: int, tol):
     with mp.workprec(bits + GUARD_BITS):
         yv = _seeds(pair, y, tol)
         levels = _levels(pair, {k: 1 / v for k, v in enumerate(yv)}, dict(enumerate(yv)),
-                         u_max, tol, abs, lambda u: range(pair.n))
+                         u_max, tol, lambda u: range(pair.n))
         peak = max(float(max(a, 1 / a)) if a > 0 else float("inf")
                    for level in levels.values() for a in map(abs, level.values()))
     return levels, peak

@@ -94,11 +94,11 @@ def test_criterion_4_wedge_and_multiplicity_control():
         records = cli._check_points(pair(label), CTX128, rng, 5, 1.0, ("wedge",))
         worst = max(worst, gate(records, 1e-18, label))
     # negative control: one multiplicity d lowered from 2 to 1 for (T1,T1),
-    # in the two-point realization (the rank-1 single-point form is vacuous)
+    # at the default b = 1/a that the records above use
     p = pair("T1,T1")
     first = p.S_plus()[0]
-    ok = wedge_form_residual(p, [1.3], CTX128, point_b=[0.7])
-    bad = wedge_form_residual(p, [1.3], CTX128, point_b=[0.7], d_override={first: 1})
+    ok = wedge_form_residual(p, [1.3], CTX128)
+    bad = wedge_form_residual(p, [1.3], CTX128, d_override={first: 1})
     assert ok.residual < 1e-18
     assert bad.residual > 1e-3
     report(f"ACCEPTANCE 4 (constancy/wedge): PASS  max residual {worst:.3e}; "

@@ -14,6 +14,7 @@ from adet import (
     central_charge_probe,
     five_term_residual,
     li2,
+    perturbed_pair,
     rogers_L,
     torsion_check,
     xi_D,
@@ -284,3 +285,11 @@ def test_central_charge_probe(label, ctx128):
     # the carried solution takes no part in equality or hashing
     assert probe == dataclasses.replace(probe, solution=None)
     assert hash(probe) == hash(dataclasses.replace(probe, solution=None))
+
+
+@pytest.mark.parametrize("label", ["A2,A1", "A3,A1"])
+def test_central_charge_probe_sees_bumped_exponent(label, ctx128):
+    # c = r r' h / (h + h') is exact, so a wrong Nahm system reads as an error
+    probe = central_charge_probe(perturbed_pair(pair(label), "x", 0, 1), ctx128)
+    assert probe.rational == PROBE_RATIONALS[label]
+    assert probe.error > 0.1, mp.nstr(probe.error, 5)

@@ -11,7 +11,7 @@ from adet import (
     wedge_form_residual,
 )
 from adet.errors import DegeneratePoint
-from adet.verify import _jet_grid
+from adet.verify import _tangent_grid
 
 from conftest import ACCEPT_PAIRS, pair, sample_points
 
@@ -20,19 +20,21 @@ CONTROL_FLOOR = 1e-3
 
 
 def test_jet_values_match_iterate(ctx128):
+    # the tangent grid's values (the 0-th order of its 1-jets) are iterate's
     p = pair("A1,T1")
     traj = iterate(p, [1.37], p.period - 1, ctx128)
     with ctx128.workprec(32):
-        jets = _jet_grid(p, [1.37], p.period - 1, ctx128)
-        worst = max(abs(jets[(0, u)].val - traj.value(0, u)) for u in range(p.period))
+        grid = _tangent_grid(p, [1.37], p.period - 1, ctx128)
+        worst = max(abs(grid[(0, u)][0] - traj.value(0, u)) for u in range(p.period))
     assert worst < 1e-40
 
 
 def test_jet_gradients_match_hand_formulas(ctx128):
-    # (A1,T1) trajectory: Y(1)=y^2/(1+y), Y(2)=y/(1+y+y^2), Y(3)=1/(y(1+y))
+    # (A1,T1) trajectory: Y(1)=y^2/(1+y), Y(2)=y/(1+y+y^2), Y(3)=1/(y(1+y));
+    # dY/dy = Y * G from the tangent recurrence
     with ctx128.workprec(32):
         y = mp.mpf("1.37")
-        jets = _jet_grid(pair("A1,T1"), [y], 3, ctx128)
+        grid = _tangent_grid(pair("A1,T1"), [y], 3, ctx128)
         expect = {
             0: mp.mpf(1),
             1: y * (y + 2) / (1 + y) ** 2,
@@ -40,45 +42,44 @@ def test_jet_gradients_match_hand_formulas(ctx128):
             3: -(1 + 2 * y) / (y * (1 + y)) ** 2,
         }
         for u, ref in expect.items():
-            assert abs(jets[(0, u)].grad[0] - ref) < 1e-38
+            yv, _, g = grid[(0, u)]
+            assert abs(yv * g[0] - ref) < 1e-38
 
 
 def test_jet_gradients_match_finite_differences(ctx128, rng):
-    # forward-mode vs central differences at 10 points (the retained cross-check)
+    # tangent recurrence vs central differences at 10 points (the retained
+    # cross-check): G = grad log Y and x * G = grad log(1+Y)
     for label in ("A1,T1", "A2,A1"):
         p = pair(label)
         for _ in range(5):
             pt = [float(v) for v in rng.uniform(0.6, 1.8, p.n)]
             ku = [(k, u) for (k, u) in p.S_plus()[2:4]]
             with ctx128.workprec(32):
-                jets = _jet_grid(p, pt, p.period - 1, ctx128)
+                grid = _tangent_grid(p, pt, p.period - 1, ctx128)
             for (k, u) in ku:
                 gf, hf = log_gradients_fd(p, pt, k, u, ctx128)
                 with mp.workprec(300):
-                    jet = jets[(k, u)]
-                    gj = [g / jet.val for g in jet.grad]
-                    hj = [g / (1 + jet.val) for g in jet.grad]
-                    assert max(abs(a - b) for a, b in zip(gj, gf)) < 1e-30
-                    assert max(abs(a - b) for a, b in zip(hj, hf)) < 1e-30
+                    _, x, g = grid[(k, u)]
+                    assert max(abs(a - b) for a, b in zip(g, gf)) < 1e-30
+                    assert max(abs(x * a - b) for a, b in zip(g, hf)) < 1e-30
 
 
 @pytest.mark.parametrize("label", ACCEPT_PAIRS + ["D4,A1", "E6,A1"])
 def test_wedge_single_point_vanishes(label, ctx128, rng):
+    # one sampled point a, paired with the default b = 1/a
     p = pair(label)
     for pt in sample_points(p, 5, rng):
         w = wedge_form_residual(p, pt, ctx128)
         assert w.residual < WEDGE_TOL, (label, mp.nstr(w.residual, 5))
-        # the single-point form is the two-point pairing at b = a, bit for bit
-        assert wedge_form_residual(p, pt, ctx128, point_b=pt).residual == w.residual
 
 
-def test_wedge_single_point_identically_zero_for_rank_one(ctx128):
-    # 1x1 antisymmetric matrices vanish: the single-point form carries no
-    # information for rank-1 pairs, which is why the controls use two points
-    for label in ("A1,A1", "A1,T1", "T1,T1"):
+def test_wedge_pairing_exactly_zero_at_b_equal_a(ctx128, rng):
+    # x(b) - x(a) is exactly 0 at b = a, whatever the recurrence: a single
+    # point carries no information, which is why b defaults to 1/a
+    for label in ("A2,A1", "E6,A1", "A1,T1"):
         p = pair(label)
-        w = wedge_form_residual(p, [1.31] * p.n, ctx128)
-        assert w.residual == 0
+        pt = sample_points(p, 1, rng)[0]
+        assert wedge_form_residual(p, pt, ctx128, point_b=pt).residual == 0, label
 
 
 def test_wedge_two_point_vanishes(ctx128, rng):
@@ -91,8 +92,7 @@ def test_wedge_two_point_vanishes(ctx128, rng):
 
 
 def test_wedge_multiplicity_negative_control(ctx128):
-    # lowering a single multiplicity d от 2 to 1 must break the vanishing;
-    # evaluated in the two-point realization (informative for rank 1)
+    # lowering a single multiplicity d from 2 to 1 must break the vanishing
     p = pair("T1,T1")
     assert p.d == 2
     first = p.S_plus()[0]
@@ -102,8 +102,24 @@ def test_wedge_multiplicity_negative_control(ctx128):
     assert bad.residual > CONTROL_FLOOR
 
 
+# one bump per pair, each joining two vertices of different colours
+EXPONENT_BUMPS = [("A2,A1", "x", 0, 1), ("A3,A1", "x", 0, 1), ("E6,A1", "x", 0, 1),
+                  ("A2,A2", "x", 0, 1), ("A1,T2", "xp", 0, 1), ("A1,T1", "xp", 0, 0),
+                  ("D4,A2", "x", 0, 1)]
+
+
+@pytest.mark.parametrize("label,side,i,j", EXPONENT_BUMPS)
+def test_wedge_exponent_negative_control_default_b(label, side, i, j, ctx128, rng):
+    # the residual the CLI records (b = 1/a) must see a bumped exponent
+    p = pair(label)
+    pt = sample_points(p, 1, rng)[0]
+    assert wedge_form_residual(p, pt, ctx128).residual < WEDGE_TOL
+    bad = wedge_form_residual(perturbed_pair(p, side, i, j), pt, ctx128).residual
+    assert bad > CONTROL_FLOOR, (label, mp.nstr(bad, 5))
+
+
 def test_wedge_exponent_negative_control(ctx128, rng):
-    # bumping one recurrence exponent must break the two-point vanishing
+    # bumping one recurrence exponent must break the vanishing at a random b
     for label, side, i, j in [("A2,A1", "x", 0, 1), ("A1,T2", "xp", 0, 1), ("A1,T1", "xp", 0, 0)]:
         p = pair(label)
         bumped = perturbed_pair(p, side, i, j)
@@ -175,6 +191,9 @@ def test_degenerate_point_raises(ctx128):
         dilog_sum_over_Splus(p, [0.0], ctx128)
     with pytest.raises(DegeneratePoint):
         wedge_form_residual(p, [0.0], ctx128)
+    # A1,A1 has no factors, so only the pairing's own x = Y/(1+Y) sees Y = -1
+    with pytest.raises(DegeneratePoint):
+        wedge_form_residual(pair("A1,A1"), [-1.0], ctx128)
 
 
 def test_perturbed_pair_validation():

@@ -78,7 +78,7 @@ def test_iterate_zero_seed_raises(ctx128):
 
 def test_decoupling_bit_identical(ctx128, rng):
     # P+ values never read the opposite-parity copy: the level loop on the
-    # P+ indices alone (as the jets run it) reproduces iterate's P+ values
+    # P+ indices alone (as the tangent grid runs it) reproduces iterate's P+ values
     for label in ("A2,A1", "E6,A1", "D4,A2", "A3,A3", "A1,T2"):
         p = pair(label)
         y = list(rng.uniform(0.5, 2.0, p.n))
@@ -87,7 +87,7 @@ def test_decoupling_bit_identical(ctx128, rng):
             yv = _seeds(p, y, ctx128.tau_res)
             levels = _levels(p, {k: 1 / yv[k] for k in p.active_indices(-1)},
                              {k: yv[k] for k in p.active_indices(0)},
-                             p.period, ctx128.tau_res, abs, p.active_indices)
+                             p.period, ctx128.tau_res, p.active_indices)
         plus = {(k, u): v for u, level in levels.items() for k, v in level.items()}
         assert set(plus) == {key for key in traj.values if p.in_P_plus(*key)}, label
         for key, v in plus.items():
@@ -226,6 +226,7 @@ def test_monomial_count_matches_central_charge_all_small_pairs(ctx128):
         per_index = len(signs) // p.n
         probe = adet.central_charge_probe(p, ctx128)
         assert Fraction(signs.count(-1), per_index) == probe.rational, label
+        assert probe.error < 1e-20, label  # the positive solution sums to c
 
 
 def test_periodicity_exact_rational_seeds():
@@ -235,7 +236,7 @@ def test_periodicity_exact_rational_seeds():
         p = pair(label)
         y = [Fraction(int(a), int(b)) for a, b in rng.integers(1, 10, size=(p.n, 2))]
         levels = _levels(p, {k: 1 / v for k, v in enumerate(y)}, dict(enumerate(y)),
-                         p.period, 0, abs, lambda u: range(p.n))
+                         p.period, 0, lambda u: range(p.n))
         assert levels[p.period - 1] == levels[-1] and levels[p.period] == levels[0], label
 
 
