@@ -48,7 +48,7 @@ def _tangent_grid(pair: PairIndexing, point, u_max: int, ctx: PrecisionContext) 
         G_k(u+1) = sum_ups m x_j(u) G_j(u) + sum_downs m (1-x_j(u)) G_j(u) - G_k(u-1),
     seeded by G(0) = e_k/y_k and G(-1) = -e_k/y_k.
     """
-    n, tol, active = pair.n, ctx.tau_res, pair.active_indices
+    n, tol, active = pair.n, mp.mpf(ctx.tau_res), pair.active_indices
     y = ysystem._seeds(pair, point, tol)
     levels = ysystem._levels(pair, {k: 1 / y[k] for k in active(-1)},
                              {k: y[k] for k in active(0)}, u_max, tol, active)

@@ -20,6 +20,7 @@ grid of `verify` runs the same loop on the P+ indices alone.
 """
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -51,26 +52,34 @@ def _next_level(pair: PairIndexing, prev: dict, cur: dict, ks, tol, u):
     The right-hand side for index k is the plan `pair.factors[k]`.  Works for
     any value type supporting +, *, /, ** int and abs (mp numbers,
     Fractions); a factor or divisor of magnitude <= tol raises `DegenerateStep`.
+    Each factor 1 + Y_j or 1 + 1/Y_j is formed and checked once per level, the
+    first time an index reads it, so the first error raised is the one a
+    check per reading would raise.
     """
     out = {}
     indices = pair.indices
+    plus, inv = {}, {}
     for k in ks:
         ups, downs = pair.factors[k]
         num = None
         for j, m in ups:
-            f = 1 + cur[j]
-            if abs(f) <= tol:
-                raise DegenerateStep("factor 1+Y vanished", index=indices[j], u=u)
+            f = plus.get(j)
+            if f is None:
+                f = plus[j] = 1 + cur[j]
+                if abs(f) <= tol:
+                    raise DegenerateStep("factor 1+Y vanished", index=indices[j], u=u)
             fm = f if m == 1 else f ** m
             num = fm if num is None else num * fm
         den = None
         for j, m in downs:
-            yv = cur[j]
-            if abs(yv) <= tol:
-                raise DegenerateStep("Y vanished where its inverse is needed", index=indices[j], u=u)
-            f = 1 + 1 / yv
-            if abs(f) <= tol:
-                raise DegenerateStep("factor 1+1/Y vanished", index=indices[j], u=u)
+            f = inv.get(j)
+            if f is None:
+                yv = cur[j]
+                if abs(yv) <= tol:
+                    raise DegenerateStep("Y vanished where its inverse is needed", index=indices[j], u=u)
+                f = inv[j] = 1 + 1 / yv
+                if abs(f) <= tol:
+                    raise DegenerateStep("factor 1+1/Y vanished", index=indices[j], u=u)
             fm = f if m == 1 else f ** m
             den = fm if den is None else den * fm
         pv = prev[k]
@@ -94,7 +103,7 @@ def y_step(pair: PairIndexing, y_prev, y_cur, ctx: PrecisionContext = DEFAULT_CO
     with ctx.workprec():
         prev = {k: to_mpc(v) for k, v in enumerate(y_prev)}
         cur = {k: to_mpc(v) for k, v in enumerate(y_cur)}
-        out = _next_level(pair, prev, cur, range(pair.n), ctx.tau_res, u=None)
+        out = _next_level(pair, prev, cur, range(pair.n), mp.mpf(ctx.tau_res), u=None)
         return [out[k] for k in range(pair.n)]
 
 
@@ -140,13 +149,20 @@ def _levels(pair: PairIndexing, level_m1: dict, level_0: dict, u_max: int, tol, 
 
 def _run_grid(pair: PairIndexing, y, u_max: int, bits: int, tol):
     """Iterate the full grid at the given precision; returns the levels and
-    their magnitude peak (max of |Y| and 1/|Y|)."""
+    their magnitude peak max(max |Y|, 1/min |Y|)."""
     with mp.workprec(bits + GUARD_BITS):
+        tol = mp.mpf(tol)
         yv = _seeds(pair, y, tol)
         levels = _levels(pair, {k: 1 / v for k, v in enumerate(yv)}, dict(enumerate(yv)),
                          u_max, tol, lambda u: range(pair.n))
-        peak = max(float(max(a, 1 / a)) if a > 0 else float("inf")
-                   for level in levels.values() for a in map(abs, level.values()))
+        hi, lo = mp.mpf(0), mp.inf
+        for level in levels.values():
+            for a in map(abs, level.values()):
+                if a > hi:
+                    hi = a
+                if a < lo:
+                    lo = a
+        peak = max(float(hi), float(1 / lo)) if lo > 0 else float("inf")
     return levels, peak
 
 
@@ -200,21 +216,30 @@ def check_periodicity(traj: YTrajectory, ctx: PrecisionContext = DEFAULT_CONTEXT
     )
 
 
-def _tropical_degrees(pair: PairIndexing, u: int) -> list:
-    """Exponents d_k of the leading monomials eps**d_k of Y(u) at all seeds eps.
+@functools.cache
+def _tropical_table(pair: PairIndexing) -> tuple:
+    """Exponents d_k of the leading monomials eps**d_k of Y(u) at all seeds eps,
+    one tuple per level 0 <= u < period, in one pass; memoised per pair.
 
     The tropical Y-system on the plan `pair.factors`: a factor 1 + Y has
     degree min(0, deg Y), a factor 1 + 1/Y has degree -max(0, deg Y), and
     the recurrence starts from deg Y(0) = 1, deg Y(-1) = -1.
     """
-    prev, cur = [-1] * pair.n, [1] * pair.n
-    for _ in range(u):
-        prev, cur = cur, [
+    prev, cur = (-1,) * pair.n, (1,) * pair.n
+    table = []
+    for _ in range(pair.period):
+        table.append(cur)
+        prev, cur = cur, tuple(
             sum(m * min(0, cur[j]) for j, m in ups)
             + sum(m * max(0, cur[j]) for j, m in downs) - prev[k]
             for k, (ups, downs) in enumerate(pair.factors)
-        ]
-    return cur
+        )
+    return tuple(table)
+
+
+def _tropical_degrees(pair: PairIndexing, u: int) -> tuple:
+    """Tropical degrees of Y(u) for 0 <= u < period (`_tropical_table`)."""
+    return _tropical_table(pair)[u]
 
 
 def monomial_sign(pair: PairIndexing, k: int, u: int,

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -6,12 +7,13 @@ import numpy as np
 import pytest
 
 import adet
-from adet import check_periodicity, constant_residual, iterate, monomial_sign, y_step
+from adet import (check_periodicity, constant_residual, iterate, monomial_sign, perturbed_pair,
+                  wedge_form_residual, y_step)
 from adet.errors import DegenerateInput, DegenerateStep, WindowTooShort
 from adet.precision import GUARD_BITS
-from adet.ysystem import _levels, _seeds, _tropical_degrees
+from adet.ysystem import ESCALATION_THRESHOLD, _levels, _run_grid, _seeds, _tropical_degrees
 
-from conftest import ACCEPT_PAIRS, all_pairs_up_to, pair
+from conftest import ACCEPT_PAIRS, all_pairs_up_to, pair, sample_points
 
 
 def test_y_step_hand_value_a1t1(ctx128):
@@ -241,8 +243,9 @@ def test_periodicity_exact_rational_seeds():
 
 
 def test_escalation_on_extreme_magnitudes():
-    # deep-epsilon seeds push |Y| past 1e30, forcing the 256-bit re-run of the
-    # whole grid: every value is then the one a 256-bit context computes
+    # deep-epsilon seeds push |Y| below 1e-30 (A1,T2 reaches 1e-32) or past
+    # 1e30 (A2,A1 reaches 1e40), forcing the 256-bit re-run of the whole
+    # grid: every value is then the one a 256-bit context computes
     ctx = replace(adet.DEFAULT_CONTEXT, tau_res=1e-300)
     ctx_hi = replace(ctx, mantissa_bits=256)
     for label, eps in (("A1,T2", 1e-8), ("A2,A1", 1e-20)):
@@ -251,6 +254,153 @@ def test_escalation_on_extreme_magnitudes():
         assert traj.precision_bits == 256, label
         direct = iterate(p, [eps] * p.n, p.period - 1, ctx_hi)
         assert traj.values == direct.values, label
+
+
+def _next_level_per_neighbour(pair, prev, cur, ks, tol, u):
+    """Test oracle: the recurrence step that forms and checks each factor
+    1 + Y_j or 1 + 1/Y_j anew for every index that reads it."""
+    out = {}
+    for k in ks:
+        ups, downs = pair.factors[k]
+        num = None
+        for j, m in ups:
+            f = 1 + cur[j]
+            if abs(f) <= tol:
+                raise DegenerateStep("factor 1+Y vanished", index=pair.indices[j], u=u)
+            fm = f if m == 1 else f ** m
+            num = fm if num is None else num * fm
+        den = None
+        for j, m in downs:
+            yv = cur[j]
+            if abs(yv) <= tol:
+                raise DegenerateStep("Y vanished where its inverse is needed", index=pair.indices[j], u=u)
+            f = 1 + 1 / yv
+            if abs(f) <= tol:
+                raise DegenerateStep("factor 1+1/Y vanished", index=pair.indices[j], u=u)
+            fm = f if m == 1 else f ** m
+            den = fm if den is None else den * fm
+        pv = prev[k]
+        if abs(pv) <= tol:
+            raise DegenerateStep("Y(u-1) vanished", index=pair.indices[k], u=u)
+        val = num if num is not None else 1
+        if den is not None:
+            val = val / den
+        out[k] = val / pv
+    return out
+
+
+# (pair, seed vector, u_max, tau_res, escalates).  No unperturbed pair has an
+# exponent above 1 (A1,T2's loop is I_22 = 1), so in the bumped A3,A1 the
+# factor 1 + Y_1 enters Y_0 squared and Y_2 once; A1,T2 has the tadpole
+# loop, the complex seed takes the mpc path, and the deep-epsilon A2,A1 grid
+# escalates
+ORACLE_CASES = {
+    "A3,A1": (pair("A3,A1"), [0.7, 1.3, 1.9], None, 1e-20, False),
+    "E6,A1": (pair("E6,A1"), [0.6, 1.1, 1.7, 0.9, 1.4, 0.8], None, 1e-20, False),
+    "A1,T2": (pair("A1,T2"), [1.2, 0.55], None, 1e-20, False),
+    "A3,A1 bumped": (perturbed_pair(pair("A3,A1"), "x", 0, 1), [0.8, 1.7, 1.2], None, 1e-20, False),
+    "A2,A2 complex": (pair("A2,A2"), [complex(0.8, 0.1), complex(1.5, -0.05), complex(1.1, 0.07),
+                                      complex(0.6, -0.1)], None, 1e-20, False),
+    "A2,A1 escalating": (pair("A2,A1"), [1e-20, 1e-20], 9, 1e-300, True),
+}
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_factor_cache_matches_per_neighbour_step(case, bits, monkeypatch):
+    # each factor formed once per level changes no value: iterate is bit for
+    # bit the trajectory of the per-neighbour step, escalation included
+    p, y, u_max, tau_res, escalates = ORACLE_CASES[case]
+    ctx = adet.PrecisionContext(mantissa_bits=bits, tau_res=tau_res)
+    u_max = 2 * p.period if u_max is None else u_max
+    traj = iterate(p, y, u_max, ctx)
+    monkeypatch.setattr(adet.ysystem, "_next_level", _next_level_per_neighbour)
+    ref = iterate(p, y, u_max, ctx)
+    assert traj.precision_bits == ref.precision_bits == (256 if escalates else bits)
+    assert repr(traj.values) == repr(ref.values)
+
+
+def test_factor_cache_keeps_wedge_residual(ctx128, monkeypatch):
+    # the tangent grid runs the same step on P+ at a complex point
+    p = pair("E6,A1")
+    pt = sample_points(p, 1, np.random.default_rng(4))[0]
+    res = wedge_form_residual(p, pt, ctx128).residual
+    monkeypatch.setattr(adet.ysystem, "_next_level", _next_level_per_neighbour)
+    assert repr(res) == repr(wedge_form_residual(p, pt, ctx128).residual)
+
+
+def _raised(step, p, prev, cur, tol, u):
+    try:
+        return repr(step(p, prev, cur, range(p.n), tol, u))
+    except DegenerateStep as exc:
+        return (str(exc), exc.index, exc.u)
+
+
+@pytest.mark.parametrize("label", ["A3,A1", "A1,A3", "A2,A2", "A1,T2", "D4,A1"])
+def test_degenerate_step_same_as_per_neighbour(label, ctx128):
+    # over every level with components in {-1, 0, 1/2, 2} (and a zero or a
+    # one in Y(u-1)), the step raises the error the per-neighbour step
+    # raises, with its message, index and u, or returns its values
+    p = pair(label)
+    with ctx128.workprec():
+        tol = mp.mpf(ctx128.tau_res)
+        comps = [mp.mpf(-1), mp.mpf(0), mp.mpf(0.5), mp.mpf(2)]
+        for cur in itertools.product(comps, repeat=p.n):
+            cur = dict(enumerate(cur))
+            for zero in range(-1, p.n):
+                prev = {k: mp.mpf(0 if k == zero else 1) for k in range(p.n)}
+                got = _raised(adet.ysystem._next_level, p, prev, cur, tol, 3)
+                assert got == _raised(_next_level_per_neighbour, p, prev, cur, tol, 3), (label, cur, zero)
+
+
+def test_degenerate_shared_factor(ctx128):
+    # the middle node of A3 feeds both ends: 1 + Y_1 = 0 (A3,A1) and
+    # 1 + 1/Y_1 = 0 or Y_1 = 0 (A1,A3) raise at the first index that reads it
+    cases = [
+        ("A3,A1", -1.0, "factor 1+Y vanished"),
+        ("A1,A3", -1.0, "factor 1+1/Y vanished"),
+        ("A1,A3", 0.0, "Y vanished where its inverse is needed"),
+    ]
+    for label, value, message in cases:
+        p = pair(label)
+        shared = [k for k, (ups, downs) in enumerate(p.factors)
+                  if any(j == 1 for j, _ in ups + downs)]
+        assert len(shared) == 2, label
+        with pytest.raises(DegenerateStep) as exc:
+            y_step(p, [1.0, 1.0, 1.0], [0.5, value, 2.0], ctx128)
+        assert (str(exc.value), exc.value.index, exc.value.u) == (message, p.indices[1], None)
+        if value:  # a zero seed is refused before any step
+            with pytest.raises(DegenerateStep) as exc:
+                iterate(p, [0.5, value, 2.0], 4, ctx128)
+            assert (str(exc.value), exc.value.index, exc.value.u) == (message, p.indices[1], 1)
+
+
+@pytest.mark.parametrize("label,y,u_max,bits,tau_res", [
+    ("A2,A1", [0.7, 1.6], 20, 128, 1e-20),
+    ("D4,A1", [0.55, 1.9, 1.2, 0.8], 24, 256, 1e-20),
+    ("A2,A2", [complex(0.8, 0.1), complex(1.5, -0.05), complex(1.1, 0.07), complex(0.6, -0.1)], 20, 128, 1e-20),
+    ("A2,A1", [1e-20, 1e-20], 9, 128, 1e-300),
+    ("A1,T1", [1e-16], 9, 128, 1e-300),
+])
+def test_peak_matches_naive_max(label, y, u_max, bits, tau_res):
+    # max(max |Y|, 1/min |Y|) is the naive max over max(|Y|, 1/|Y|), exactly
+    levels, peak = _run_grid(pair(label), y, u_max, bits, tau_res)
+    with mp.workprec(bits + GUARD_BITS):
+        assert peak == max(float(max(a, 1 / a)) for level in levels.values() for a in map(abs, level.values()))
+
+
+def test_escalation_on_small_magnitudes_only():
+    # A1,T1 from y = 1e-16 spans 1e-32 <= |Y| <= 1e16 over a period: the
+    # values below 1e-30 alone trigger the 256-bit re-run
+    ctx = replace(adet.DEFAULT_CONTEXT, tau_res=1e-300)
+    p = pair("A1,T1")
+    levels, peak = _run_grid(p, [1e-16], p.period - 1, ctx.mantissa_bits, ctx.tau_res)
+    mags = [abs(v) for level in levels.values() for v in level.values()]
+    assert max(mags) < ESCALATION_THRESHOLD < 1 / min(mags)
+    assert peak > ESCALATION_THRESHOLD
+    traj = iterate(p, [1e-16], p.period - 1, ctx)
+    assert traj.precision_bits == 256
+    assert traj.values == iterate(p, [1e-16], p.period - 1, replace(ctx, mantissa_bits=256)).values
 
 
 def test_constant_residual_values(ctx128):
