@@ -7,7 +7,7 @@ the Bloch group.  All residuals here sit at the 128-bit noise floor.
 import mpmath as mp
 import numpy as np
 
-from adet import bloch_wigner, five_term_residual, li2
+from adet import bloch_wigner, li2, relation_residuals
 
 mp.mp.prec = 160
 
@@ -31,12 +31,10 @@ for _ in range(400):
     r = 2 * np.sqrt(rng.uniform(0, 1, 2))
     t = rng.uniform(0, 2 * np.pi, 2)
     x, y = (r * np.exp(1j * t)).tolist()
-    worst5 = max(worst5, five_term_residual(x, y))
-    xx = mp.mpc(x)
-    if xx != 0:
-        d = bloch_wigner(xx)
-        worstr = max(worstr, abs(d + bloch_wigner(1 - xx)))
-        worsti = max(worsti, abs(d + bloch_wigner(1 / xx)))
+    five, refl, inv = relation_residuals(x, y)
+    worst5 = max(worst5, five)
+    if x != 0:
+        worstr, worsti = max(worstr, refl), max(worsti, inv)
 print("  five-term |D(x)+D(1-xy)+D(y)+D((1-y)/(1-xy))+D((1-x)/(1-xy))| <=", mp.nstr(worst5, 3))
 print("  reflection |D(x)+D(1-x)| <=", mp.nstr(worstr, 3))
 print("  inversion  |D(x)+D(1/x)| <=", mp.nstr(worsti, 3))

@@ -15,6 +15,7 @@ from .bloch import (
     central_charge_probe,
     five_term_residual,
     li2,
+    relation_residuals,
     rogers_L,
     torsion_check,
     xi_D,
@@ -100,6 +101,7 @@ __all__ = [
     "parse_diagram",
     "perturbed_pair",
     "pochhammer_q",
+    "relation_residuals",
     "rogers_L",
     "solve_all",
     "solve_positive",

@@ -16,6 +16,14 @@ D(z) = Im Li_2(z) + log|z| * arg(1-z) is single-valued, real-analytic off
 D(z) + D(1-z) = D(z) + D(1/z) = 0, and the five-term relation.  The kernel
 computes D from Li_2 alone, never through these symmetries, so the checks of
 them stay independent of how D is evaluated.
+
+relation_residuals checks the five-term, reflection and inversion relations
+at one point (x, y) from the logarithms of five letters x, y, 1-x, 1-y and
+w = 1-xy: every argument of the relations, and every 1 - argument, is a
+signed product of letters, so its logarithms are integer sums of theirs.
+That is an identity of logarithms, not of dilogarithms: each D still runs
+its own series.  The derived arguments are exact rather than rounded to the
+working precision.
 """
 from __future__ import annotations
 
@@ -34,6 +42,7 @@ __all__ = [
     "li2",
     "bloch_wigner",
     "five_term_residual",
+    "relation_residuals",
     "xi_D",
     "torsion_check",
     "rogers_L",
@@ -64,20 +73,34 @@ def _series_coeffs(n: int, wp: int) -> list[int]:
     return coeffs
 
 
-def _li2_fixed(zr, zi, wp: int):
-    """(Re Li_2(z), Im Li_2(z), log|z| arg(1-z)) scaled by 2^wp, for z = zr + i zi
-    given as libmp values, z not 0 or 1.
+def _log_fixed(r, i, wp: int):
+    """(log|z|, arg z) scaled by 2^wp for z = r + i*i given as libmp values,
+    z not 0; arg z in (-pi, pi] as mpf_atan2 rounds it."""
+    rnd = libmp.round_nearest
+    return (libmp.to_fixed(libmp.mpf_log_hypot(r, i, wp, rnd), wp),
+            libmp.to_fixed(libmp.mpf_atan2(i, r, wp, rnd), wp))
+
+
+def _one_minus(r, i, wp: int):
+    """1 - z for z = r + i*i given as libmp values, rounded to wp bits."""
+    return libmp.mpf_sub(libmp.fone, r, wp, libmp.round_nearest), libmp.mpf_neg(i)
+
+
+def _logs(r, i, wp: int):
+    """log z and log(1-z) for _li2_fixed, with 1 - z formed at wp bits."""
+    return _log_fixed(r, i, wp), _log_fixed(*_one_minus(r, i, wp), wp)
+
+
+def _li2_fixed(lz, l1, wp: int):
+    """(Re Li_2(z), Im Li_2(z), log|z| arg(1-z)) scaled by 2^wp, from
+    lz = log z and l1 = log(1-z) as _log_fixed gives them, z not 0 or 1.
 
     Li_2(w) = u - u^2/4 + sum_{k even >= 2} B_k u^(k+1) / (k+1)!, u = -log(1-w),
     runs by Horner in v^2, v = u / (2 pi), with the term count fixed from |v|.
     On the real line the chosen |u| is at most 1, while a w on the cut
     [1, oo) would have |Im u| = pi, so w never lands on the cut.
     """
-    rnd = libmp.round_nearest
-    one_r, one_i = libmp.mpf_sub(libmp.fone, zr, wp, rnd), libmp.mpf_neg(zi)
-    lzr, lzi, l1r, l1i = (libmp.to_fixed(x, wp) for x in (
-        libmp.mpf_log_hypot(zr, zi, wp, rnd), libmp.mpf_atan2(zi, zr, wp, rnd),
-        libmp.mpf_log_hypot(one_r, one_i, wp, rnd), libmp.mpf_atan2(one_i, one_r, wp, rnd)))
+    (lzr, lzi), (l1r, l1i) = lz, l1
     pi = libmp.pi_fixed(wp)
     inv_i = l1i - lzi + pi  # arg(1 - 1/z) = arg(1-z) - arg z + pi, into (-pi, pi]
     if inv_i > pi:
@@ -117,6 +140,11 @@ def _li2_fixed(zr, zi, wp: int):
     return re, im, (lzr * l1i) >> wp
 
 
+def _parts(v):
+    """(re, im) of an mpf or mpc as libmp values."""
+    return v._mpc_ if isinstance(v, mp.mpc) else (v._mpf_, libmp.fzero)
+
+
 def _round(x: int, wp: int, prec: int):
     return libmp.from_man_exp(x, -wp, prec, libmp.round_nearest)
 
@@ -136,11 +164,11 @@ def li2(z, ctx: PrecisionContext = DEFAULT_CONTEXT):
     prec = ctx.mantissa_bits + 2 * GUARD_BITS
     with mp.workprec(prec):
         zz = to_mpc(z)
-        zr, zi = zz._mpc_ if isinstance(zz, mp.mpc) else (zz._mpf_, libmp.fzero)
+        zr, zi = _parts(zz)
         if zi == libmp.fzero and zr in (libmp.fzero, libmp.fone):
             return mp.pi ** 2 / 6 if zr == libmp.fone else mp.mpf(0)
     wp = prec + _FIXED_GUARD
-    re, im, _ = _li2_fixed(zr, zi, wp)
+    re, im, _ = _li2_fixed(*_logs(zr, zi, wp), wp)
     if zi == libmp.fzero and libmp.mpf_le(zr, libmp.fone):
         return mp.make_mpf(_round(re, wp, prec))
     return mp.make_mpc((_round(re, wp, prec), _round(im, wp, prec)))
@@ -157,25 +185,90 @@ def bloch_wigner(z, ctx: PrecisionContext = DEFAULT_CONTEXT):
     if mp.im(zz) == 0:
         return mp.mpf(0)
     wp = ctx.mantissa_bits + 2 * GUARD_BITS + _FIXED_GUARD
-    _, im, d_term = _li2_fixed(*zz._mpc_, wp)
+    _, im, d_term = _li2_fixed(*_logs(*zz._mpc_, wp), wp)
     return mp.make_mpf(_round(im + d_term, wp, ctx.mantissa_bits + GUARD_BITS))
 
 
-def five_term_residual(x, y, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """|D(x) + D(1-xy) + D(y) + D((1-y)/(1-xy)) + D((1-x)/(1-xy))|."""
+# The distinct arguments z of the five-term, reflection and inversion
+# relations, with log z and log(1-z) as integer sums over the letters
+# (0) x, (1) y, (2) 1-x, (3) 1-y, (4) w = 1-xy, given as (letter, exponent)
+# pairs, and the half turns i pi that log(1-z) adds.
+_RELATION_ARGUMENTS = (
+    (((0, 1),), ((2, 1),), 0),                           # x
+    (((4, 1),), ((0, 1), (1, 1)), 0),                    # w, 1 - w = xy
+    (((1, 1),), ((3, 1),), 0),                           # y
+    (((3, 1), (4, -1)), ((1, 1), (2, 1), (4, -1)), 0),   # (1-y)/w, 1 - it = y(1-x)/w
+    (((2, 1), (4, -1)), ((0, 1), (3, 1), (4, -1)), 0),   # (1-x)/w, 1 - it = x(1-y)/w
+    (((2, 1),), ((0, 1),), 0),                           # 1-x
+    (((0, -1),), ((2, 1), (0, -1)), 1),                  # 1/x, 1 - it = -(1-x)/x
+)
+
+
+def _relation_terms(x, y, ctx: PrecisionContext):
+    """D at each argument of _RELATION_ARGUMENTS, rounded as bloch_wigner rounds."""
+    wp = ctx.mantissa_bits + 2 * GUARD_BITS + _FIXED_GUARD
     with ctx.workprec():
-        xv, yv = to_mpc(x), to_mpc(y)
-        w = 1 - xv * yv
-        if w == 0:
-            raise DegenerateInput("1 - x*y = 0")
-        total = (
-            bloch_wigner(xv, ctx)
-            + bloch_wigner(w, ctx)
-            + bloch_wigner(yv, ctx)
-            + bloch_wigner((1 - yv) / w, ctx)
-            + bloch_wigner((1 - xv) / w, ctx)
-        )
-        return abs(total)
+        xr, xi = _parts(to_mpc(x))
+        yr, yi = _parts(to_mpc(y))
+    zero = (libmp.fzero, libmp.fzero)
+    w = _one_minus(*libmp.mpc_mul((xr, xi), (yr, yi), wp, libmp.round_nearest), wp)
+    if w == zero:
+        raise DegenerateInput("1 - x*y = 0")
+    letters = ((xr, xi), (yr, yi), _one_minus(xr, xi, wp), _one_minus(yr, yi, wp), w)
+    logs = [None if letter == zero else _log_fixed(*letter, wp) for letter in letters]
+    pi = libmp.pi_fixed(wp)
+
+    def log_of(factors, half_turns, top):
+        """The sum of letter logarithms, its imaginary part in (top - 2 pi, top]."""
+        re = sum(e * logs[k][0] for k, e in factors)
+        im = sum(e * logs[k][1] for k, e in factors) + half_turns * pi
+        return re, im + 2 * pi * ((top - im) // (2 * pi))
+
+    terms = []
+    for z, one_minus_z, half_turns in _RELATION_ARGUMENTS:
+        # D vanishes at z = 0, 1, oo (a zero letter) and on the real line
+        if (any(logs[k] is None for k, _ in z + one_minus_z)
+                or all(letters[k][1] == libmp.fzero for k, _ in z)):
+            terms.append(mp.mpf(0))
+            continue
+        lz = log_of(z, 0, pi)
+        # Im(1-z) = -Im z, so arg(1-z) takes the sign opposite to arg z, as
+        # the kernel reads the side of the cut (upper iff arg z > 0).  A sum
+        # rounded across +-pi would pair the two sides, and just above or
+        # below (1, oo) put D off by 2 pi log|z|
+        l1 = log_of(one_minus_z, half_turns, pi // 2 if lz[1] > 0 else 3 * pi // 2)
+        _, im, d_term = _li2_fixed(lz, l1, wp)
+        terms.append(mp.make_mpf(_round(im + d_term, wp, ctx.mantissa_bits + GUARD_BITS)))
+    return terms
+
+
+def relation_residuals(x, y, ctx: PrecisionContext = DEFAULT_CONTEXT):
+    """(five-term, reflection, inversion) residuals at one point:
+    |D(x) + D(1-xy) + D(y) + D((1-y)/(1-xy)) + D((1-x)/(1-xy))|,
+    |D(x) + D(1-x)| and |D(x) + D(1/x)|.
+
+    Every argument z, and every 1 - z, is a signed product of the letters
+    x, y, 1-x, 1-y and w = 1-xy, so log z and log(1-z) are integer sums of
+    the letters' logarithms, each taken once: 10 libmp transcendentals per
+    point where eight bloch_wigner calls take 32.  The sharing is an
+    identity of logarithms, not of dilogarithms: each of the seven distinct
+    D values (D(x) serves all three relations) runs its own series.  The
+    derived arguments are therefore exact, not rounded to the working
+    precision first.  D at x, y and 1-x is bit-identical to bloch_wigner
+    there, except where Im z is positive but below the fixed-point
+    resolution just above the cut (1, oo): there bloch_wigner reads arg z
+    and arg(1-z) on opposite sides of the cut, and this function does not.
+    1 - xy = 0 raises DegenerateInput.
+    """
+    d_x, d_w, d_y, d_a, d_b, d_1x, d_inv = _relation_terms(x, y, ctx)
+    with ctx.workprec():
+        return abs(d_x + d_w + d_y + d_a + d_b), abs(d_x + d_1x), abs(d_x + d_inv)
+
+
+def five_term_residual(x, y, ctx: PrecisionContext = DEFAULT_CONTEXT):
+    """|D(x) + D(1-xy) + D(y) + D((1-y)/(1-xy)) + D((1-x)/(1-xy))|, the first
+    entry of relation_residuals."""
+    return relation_residuals(x, y, ctx)[0]
 
 
 def xi_D(solution, ctx: PrecisionContext = DEFAULT_CONTEXT):

@@ -259,20 +259,16 @@ def _check_torsion(pair, ctx, starts, seed, tol_scale):
 def _check_fiveterm(ctx, rng, count, tol_scale) -> list:
     # scales with the unit roundoff 2^-bits: 1e-30 at 128 bits
     tol = 1e-30 * 2.0 ** (128 - ctx.mantissa_bits) * tol_scale
-    worst_five = mp.mpf(0)
-    worst_refl = mp.mpf(0)
-    worst_inv = mp.mpf(0)
-    with ctx.workprec():
-        for _ in range(count):
-            r = 2 * np.sqrt(rng.uniform(0, 1, 2))
-            t = rng.uniform(0, 2 * np.pi, 2)
-            x, y = (r * np.exp(1j * t)).tolist()
-            worst_five = max(worst_five, bloch.five_term_residual(x, y, ctx))
-            if x != 0:
-                xx = mp.mpc(x)  # derived arguments at working precision
-                d = bloch.bloch_wigner(xx, ctx)
-                worst_refl = max(worst_refl, abs(d + bloch.bloch_wigner(1 - xx, ctx)))
-                worst_inv = max(worst_inv, abs(d + bloch.bloch_wigner(1 / xx, ctx)))
+    worst_five = worst_refl = worst_inv = mp.mpf(0)
+    for _ in range(count):
+        r = 2 * np.sqrt(rng.uniform(0, 1, 2))
+        t = rng.uniform(0, 2 * np.pi, 2)
+        x, y = (r * np.exp(1j * t)).tolist()
+        five, refl, inv = bloch.relation_residuals(x, y, ctx)
+        worst_five = max(worst_five, five)
+        if x != 0:
+            worst_refl = max(worst_refl, refl)
+            worst_inv = max(worst_inv, inv)
     return [
         CheckRecord.make("five-term relation, max residual", worst_five, tol),
         CheckRecord.make("reflection D(x)+D(1-x), max residual", worst_refl, tol),

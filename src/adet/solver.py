@@ -376,7 +376,7 @@ def nahm_branch_diagnostics(pair: PairIndexing, x, ctx: PrecisionContext = DEFAU
     """
     a = nahm_matrix(pair.x, pair.xp)
     n = pair.n
-    cx, cxp = (cartan_matrix(d).to_float().astype(int) for d in (pair.x, pair.xp))
+    cx, cxp = (np.array(cartan_matrix(d).entries, dtype=int) for d in (pair.x, pair.xp))
     g = np.hstack([np.kron(cx, np.eye(len(cxp), dtype=int)),
                    np.kron(np.eye(len(cx), dtype=int), cxp)]).tolist()
     with ctx.workprec():

@@ -15,11 +15,12 @@ from adet import (
     five_term_residual,
     li2,
     perturbed_pair,
+    relation_residuals,
     rogers_L,
     torsion_check,
     xi_D,
 )
-from adet import bloch
+from adet import bloch, cli
 from adet.errors import DegenerateInput
 
 from conftest import ACCEPT_PAIRS, pair
@@ -206,6 +207,11 @@ def test_bloch_wigner_symmetries(ctx128, rng):
 def test_five_term_boundary_exact_zero(ctx128):
     assert five_term_residual(0, 0, ctx128) == 0
     assert five_term_residual(0.3, 0.6, ctx128) == 0  # all-real: vanishes exactly
+    # every D of a real point vanishes exactly, not only the sums; at the
+    # second, arguments below 0 and above 1 would leave rounding noise
+    for x, y in ((0.3, 0.6), (-3.0, -0.5)):
+        assert bloch._relation_terms(x, y, ctx128) == [0] * 7
+        assert relation_residuals(x, y, ctx128) == (0, 0, 0)
 
 
 def test_five_term_random_points(ctx128, rng):
@@ -221,6 +227,88 @@ def test_five_term_random_points(ctx128, rng):
 def test_five_term_degenerate(ctx128):
     with pytest.raises(DegenerateInput):
         five_term_residual(2.0, 0.5, ctx128)
+    with pytest.raises(DegenerateInput):
+        relation_residuals(1 + 1j, (1 - 1j) / 2, ctx128)  # x y = 1 from complex letters
+
+
+def _random_points(rng, count):
+    r, t = 2 * np.sqrt(rng.uniform(0, 1, (count, 2))), rng.uniform(0, 2 * np.pi, (count, 2))
+    return (r * np.exp(1j * t)).tolist()
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_relation_terms_against_bloch_wigner(bits, rng):
+    # D at x, y, 1-x and 1-y reads the letters' logarithms as bloch_wigner
+    # takes them, so it is bit-identical; D at the derived arguments sums
+    # letter logarithms, so it matches bloch_wigner at the argument formed 64
+    # bits higher to within the rounding of the two values
+    ctx = PrecisionContext(mantissa_bits=bits)
+    tol = mp.mpf(2) ** -(bits + adet.precision.GUARD_BITS - 1)
+    for x, y in _random_points(rng, 300):
+        d_x, d_w, d_y, d_a, d_b, d_1x, d_inv = bloch._relation_terms(x, y, ctx)
+        d_1y = bloch._relation_terms(y, x, ctx)[5]
+        with ctx.workprec(64):
+            xx, yy = mp.mpc(x), mp.mpc(y)
+            w = 1 - xx * yy
+            assert d_x == bloch_wigner(xx, ctx) and d_y == bloch_wigner(yy, ctx)
+            assert d_1x == bloch_wigner(1 - xx, ctx) and d_1y == bloch_wigner(1 - yy, ctx)
+            for d, z in ((d_w, w), (d_a, (1 - yy) / w), (d_b, (1 - xx) / w), (d_inv, 1 / xx)):
+                assert abs(d - bloch_wigner(z, ctx)) < tol, (bits, x, y, z)
+        assert five_term_residual(x, y, ctx) == relation_residuals(x, y, ctx)[0]
+
+
+def test_relation_residuals_on_the_boundary(ctx128):
+    # with x or y in {0, 1} three of the five arguments sit at 0, 1 or oo
+    # and the five-term sum is D(z) + D(1-z), bit for bit; reflection and
+    # inversion of x = 0 or 1 read exactly 0
+    z = 0.3 + 0.8j
+    with ctx128.workprec():
+        refl = abs(bloch_wigner(z, ctx128) + bloch_wigner(1 - mp.mpc(z), ctx128))
+    for x, y in ((0, z), (1, z), (z, 0), (z, 1)):
+        five, r, i = relation_residuals(x, y, ctx128)
+        assert five == refl, (x, y)
+        if x in (0, 1):
+            assert r == i == 0
+
+
+def test_relation_residuals_conjugate_pair(ctx128):
+    # y = conj(x): complex letters x, y give a real w = 1 - |x|^2, whose D is
+    # exactly 0, while the other arguments stay complex
+    x = 0.6 + 0.5j
+    terms = bloch._relation_terms(x, x.conjugate(), ctx128)
+    assert terms[1] == 0
+    assert all(d != 0 for k, d in enumerate(terms) if k != 1)
+    assert max(relation_residuals(x, x.conjugate(), ctx128)) < 1e-40
+
+
+@pytest.mark.parametrize("x, y", [
+    (1.2344316562068167 + 9.557293771403992e-56j, -1.9091804370036067),  # 1 - xy just above (1, oo)
+    (3.0486029232242284 + 8.743645195052953e-56j, -2.9548394718212707),  # x just above (1, oo)
+])
+def test_relation_terms_just_above_the_cut(x, y, ctx128):
+    # Im z below the fixed-point resolution: arg(1-z) as a sum of letter
+    # arguments rounds to either side of +-pi, and must take the side that
+    # arg z puts z on, else D is off by 2 pi log|z|
+    with mp.workprec(600):
+        xx, yy = mp.mpc(x), mp.mpc(y)
+        w = 1 - xx * yy
+        for d, z in zip(bloch._relation_terms(x, y, ctx128),
+                        (xx, w, yy, (1 - yy) / w, (1 - xx) / w, 1 - xx, 1 / xx)):
+            ref = mp.im(mp.polylog(2, z)) + mp.log(abs(z)) * mp.arg(1 - z)
+            assert abs(d - ref) < 1e-38, z
+
+
+def test_fiveterm_check_sees_the_series(monkeypatch):
+    # the relations share letter logarithms but no series value: a fault in
+    # one series coefficient fails all three records of the check
+    ctx = PrecisionContext(mantissa_bits=128)
+    wp = 128 + 2 * adet.precision.GUARD_BITS + bloch._FIXED_GUARD
+    coeffs = list(bloch._series_coeffs(40, wp))
+    coeffs[0] += 1 << (wp - 60)
+    monkeypatch.setattr(bloch, "_SERIES_COEFFS", {wp: coeffs})
+    records = cli._check_fiveterm(ctx, np.random.default_rng(0), 50, 1.0)
+    assert len(records) == 3
+    assert not any(r.passed for r in records), [(r.name, r.residual) for r in records]
 
 
 def test_xi_D_conjugation(ctx128):
