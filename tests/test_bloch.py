@@ -231,11 +231,6 @@ def test_five_term_degenerate(ctx128):
         relation_residuals(1 + 1j, (1 - 1j) / 2, ctx128)  # x y = 1 from complex letters
 
 
-def _random_points(rng, count):
-    r, t = 2 * np.sqrt(rng.uniform(0, 1, (count, 2))), rng.uniform(0, 2 * np.pi, (count, 2))
-    return (r * np.exp(1j * t)).tolist()
-
-
 @pytest.mark.parametrize("bits", [128, 256])
 def test_relation_terms_against_bloch_wigner(bits, rng):
     # D at x, y, 1-x and 1-y reads the letters' logarithms as bloch_wigner
@@ -244,7 +239,8 @@ def test_relation_terms_against_bloch_wigner(bits, rng):
     # bits higher to within the rounding of the two values
     ctx = PrecisionContext(mantissa_bits=bits)
     tol = mp.mpf(2) ** -(bits + adet.precision.GUARD_BITS - 1)
-    for x, y in _random_points(rng, 300):
+    r, t = 2 * np.sqrt(rng.uniform(0, 1, (300, 2))), rng.uniform(0, 2 * np.pi, (300, 2))
+    for x, y in (r * np.exp(1j * t)).tolist():
         d_x, d_w, d_y, d_a, d_b, d_1x, d_inv = bloch._relation_terms(x, y, ctx)
         d_1y = bloch._relation_terms(y, x, ctx)[5]
         with ctx.workprec(64):
