@@ -54,7 +54,6 @@ from .ysystem import (
     constant_residual,
     iterate,
     monomial_sign,
-    y_step,
 )
 from . import errors
 
@@ -109,7 +108,6 @@ __all__ = [
     "wedge_form_residual",
     "x_to_y",
     "xi_D",
-    "y_step",
     "y_to_x",
 ]
 

@@ -134,7 +134,9 @@ def _li2_fixed(lz, l1, wp: int):
         re = pi2_6 - ((lzr * l1r - lzi * l1i) >> wp) - br
         im = -((lzr * l1i + lzi * l1r) >> wp) - bi
     else:  # Li2(z) + Li2(1/z) = -pi^2/6 - log(-z)^2 / 2, arg(-z) = arg z -+ pi
-        mi = lzi - pi if lzi > 0 else lzi + pi
+        # z is on the upper side of the cut when arg z > 0, or when arg(1-z)
+        # < 0 while arg z, far below the resolution, reads 0
+        mi = lzi - pi if lzi > 0 or l1i < 0 else lzi + pi
         re = -pi2_6 - ((lzr * lzr - mi * mi) >> (wp + 1)) - br
         im = -((lzr * mi) >> wp) - bi
     return re, im, (lzr * l1i) >> wp
@@ -256,8 +258,9 @@ def relation_residuals(x, y, ctx: PrecisionContext = DEFAULT_CONTEXT):
     derived arguments are therefore exact, not rounded to the working
     precision first.  D at x, y and 1-x is bit-identical to bloch_wigner
     there, except where Im z is positive but below the fixed-point
-    resolution just above the cut (1, oo): there bloch_wigner reads arg z
-    and arg(1-z) on opposite sides of the cut, and this function does not.
+    resolution just above the cut (1, oo): there the two may read the cut
+    from opposite sides, each consistently, and D, continuous across it,
+    agrees to rounding.
     1 - xy = 0 raises DegenerateInput.
     """
     d_x, d_w, d_y, d_a, d_b, d_1x, d_inv = _relation_terms(x, y, ctx)

@@ -21,11 +21,12 @@ from math import lcm
 
 import mpmath as mp
 import numpy as np
+from mpmath import libmp
 
 from .dynkin import PairIndexing, cartan_matrix, nahm_matrix
 from .errors import NoConvergence, PoleInput
 from .precision import DEFAULT_CONTEXT, PrecisionContext, to_mpc
-from .ysystem import constant_residual
+from .ysystem import _table, constant_residual
 
 __all__ = [
     "x_to_y",
@@ -415,23 +416,28 @@ def _positive_fixed_point(pair: PairIndexing):
 
     rhs is the right-hand side of the constant Y-system; the map preserves
     the positive cone and homes in on the all-positive solution, leaving the
-    quadratic finish to Newton.
+    quadratic finish to Newton.  It runs on the Y-system step's raw mpf table
+    (`ysystem._table`) in the order of mp's operators: the start is bit-identical.
     """
-    y = [mp.mpf(1)] * pair.n
+    ar, _, wrap = _table([mp.mpf(1)], 0)
+    prec, rnd, stop = mp.mp.prec, libmp.round_nearest, mp.mpf("1e-12")._mpf_
+    y = [libmp.fone] * pair.n
     for _ in range(_FIXED_POINT_ITERS):
         new = []
         for ups, downs in pair.factors:
-            num = mp.mpf(1)
+            num = libmp.fone
             for j, m in ups:
-                num *= (1 + y[j]) ** m
+                num = ar.mul(num, ar.pow(ar.one_plus(y[j]), m))
             for j, m in downs:
-                num /= (1 + 1 / y[j]) ** m
-            new.append(mp.sqrt(num))
-        drift = max(abs(a - b) / b for a, b in zip(new, y))
+                num = ar.div(num, ar.pow(ar.one_plus_inv(y[j]), m))
+            new.append(libmp.mpf_sqrt(num, prec, rnd))
+        # the largest drift |a - b| / b is below the stop iff every one is
+        done = all(libmp.mpf_lt(ar.div(libmp.mpf_abs(libmp.mpf_sub(a, b, prec, rnd)), b), stop)
+                   for a, b in zip(new, y))
         y = new
-        if drift < mp.mpf("1e-12"):
+        if done:
             break
-    return y
+    return [wrap(v) for v in y]
 
 
 def _solution(pair, y, residual, count, info, ctx) -> Solution:

@@ -21,10 +21,14 @@ grid of `verify` runs the same loop on the P+ indices alone.
 from __future__ import annotations
 
 import functools
+import math
+import operator
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 
 import mpmath as mp
+from mpmath import libmp
 
 from .dynkin import PairIndexing
 from .errors import DegenerateInput, DegenerateStep, WindowTooShort
@@ -33,7 +37,6 @@ from .report import CheckRecord, VerificationReport
 
 __all__ = [
     "YTrajectory",
-    "y_step",
     "iterate",
     "check_periodicity",
     "monomial_sign",
@@ -46,16 +49,70 @@ ESCALATION_THRESHOLD = 1e30
 ESCALATED_BITS = 256
 
 
-def _next_level(pair: PairIndexing, prev: dict, cur: dict, ks, tol, u):
-    """One recurrence step; `prev`/`cur` map flattened indices to values.
+# One recurrence step's operations: 1 + y, 1 + 1/y, *, /, 1/x, x**m, |x| <= tol.
+_Arithmetic = namedtuple("_Arithmetic", "one_plus one_plus_inv mul div recip pow small")
 
-    The right-hand side for index k is the plan `pair.factors[k]`.  Works for
-    any value type supporting +, *, /, ** int and abs (mp numbers,
-    Fractions); a factor or divisor of magnitude <= tol raises `DegenerateStep`.
-    Each factor 1 + Y_j or 1 + 1/Y_j is formed and checked once per level, the
-    first time an index reads it, so the first error raised is the one a
-    check per reading would raise.
+# Per mp type: raw attribute, wrapper, the libmp calls of its operators for 1 + y,
+# 1/y, *, /, ** int and abs, and the exponent band in which `small` takes |x|.
+_LIBMP = {
+    mp.mpf: ("_mpf_", mp.make_mpf, libmp.mpf_add, functools.partial(libmp.mpf_rdiv_int, 1),
+             libmp.mpf_mul, libmp.mpf_div, libmp.mpf_pow_int, libmp.mpf_abs, 1),
+    mp.mpc: ("_mpc_", mp.make_mpc, libmp.mpc_add_mpf, functools.partial(libmp.mpc_mpf_div, libmp.fone),
+             libmp.mpc_mul, libmp.mpc_div, libmp.mpc_pow_int, libmp.mpc_abs, 2),
+}
+
+
+def _top(x) -> float:
+    """exp + bc of the larger part of a raw mpf or mpc x, in [2^(top-1), 2^top); -inf at 0."""
+    if len(x) == 2:
+        return max(_top(x[0]), _top(x[1]))
+    return x[2] + x[3] if x[1] else -math.inf
+
+
+def _table(values, tol):
+    """(table, raw, wrap) for a grid seeded with `values`, with the
+    conversions of a value to and from the table's representation.
+
+    All mpf or all mpc: raw libmp tuples at the working precision, through
+    the calls mp's operators make, rounding to nearest, so every value is
+    bit-identical to theirs.  `small` reads |x| <= tol from the exponents:
+    with tol < 2^t, a finite x with `_top` e <= t - band is small and one with
+    e > t is not; only in between, within a factor 2 (mpf) or 4 (mpc) of
+    tol, is |x| taken.  Otherwise (mixed mpf and mpc, Fractions): operators.
     """
+    kinds = set(map(type, values))
+    if len(kinds) != 1 or not kinds <= _LIBMP.keys():
+        return (_Arithmetic(lambda y: 1 + y, lambda y: 1 + 1 / y, operator.mul, operator.truediv,
+                            lambda x: 1 / x, operator.pow, lambda x: abs(x) <= tol),
+                lambda v: v, lambda v: v)
+    attr, wrap, add, rdiv, mul, div, pow_, abs_, band = _LIBMP[kinds.pop()]
+    prec, rnd, one = mp.mp.prec, libmp.round_nearest, libmp.fone
+    tol = mp.mpf(tol)._mpf_
+    hi, lo = _top(tol), _top(tol) - band
+
+    def small(x):
+        e = _top(x)
+        if e <= lo or e > hi:
+            return e <= lo
+        return libmp.mpf_le(abs_(x, prec, rnd), tol)
+
+    return (_Arithmetic(lambda y: add(y, one, prec, rnd), lambda y: add(rdiv(y, prec, rnd), one, prec, rnd),
+                        lambda a, b: mul(a, b, prec, rnd), lambda a, b: div(a, b, prec, rnd),
+                        lambda x: rdiv(x, prec, rnd), lambda x, m: pow_(x, m, prec, rnd), small),
+            operator.attrgetter(attr), wrap)
+
+
+def _next_level(pair: PairIndexing, prev: dict, cur: dict, ks, ar: _Arithmetic, u):
+    """One recurrence step on the arithmetic table `ar`; `prev`/`cur` map
+    flattened indices to values in the table's representation.
+
+    The right-hand side for index k is the plan `pair.factors[k]`.  A factor
+    or divisor that `ar.small` finds raises `DegenerateStep`.  Each factor
+    1 + Y_j or 1 + 1/Y_j is formed and checked once per level, the first
+    time an index reads it, so the first error raised is the one a check per
+    reading would raise.
+    """
+    one_plus, one_plus_inv, mul, div, recip, pow_, small = ar
     out = {}
     indices = pair.indices
     plus, inv = {}, {}
@@ -65,46 +122,30 @@ def _next_level(pair: PairIndexing, prev: dict, cur: dict, ks, tol, u):
         for j, m in ups:
             f = plus.get(j)
             if f is None:
-                f = plus[j] = 1 + cur[j]
-                if abs(f) <= tol:
+                f = plus[j] = one_plus(cur[j])
+                if small(f):
                     raise DegenerateStep("factor 1+Y vanished", index=indices[j], u=u)
-            fm = f if m == 1 else f ** m
-            num = fm if num is None else num * fm
+            fm = f if m == 1 else pow_(f, m)
+            num = fm if num is None else mul(num, fm)
         den = None
         for j, m in downs:
             f = inv.get(j)
             if f is None:
                 yv = cur[j]
-                if abs(yv) <= tol:
+                if small(yv):
                     raise DegenerateStep("Y vanished where its inverse is needed", index=indices[j], u=u)
-                f = inv[j] = 1 + 1 / yv
-                if abs(f) <= tol:
+                f = inv[j] = one_plus_inv(yv)
+                if small(f):
                     raise DegenerateStep("factor 1+1/Y vanished", index=indices[j], u=u)
-            fm = f if m == 1 else f ** m
-            den = fm if den is None else den * fm
+            fm = f if m == 1 else pow_(f, m)
+            den = fm if den is None else mul(den, fm)
         pv = prev[k]
-        if abs(pv) <= tol:
+        if small(pv):
             raise DegenerateStep("Y(u-1) vanished", index=indices[k], u=u)
-        val = num if num is not None else 1
         if den is not None:
-            val = val / den
-        out[k] = val / pv
+            num = recip(den) if num is None else div(num, den)
+        out[k] = recip(pv) if num is None else div(num, pv)
     return out
-
-
-def y_step(pair: PairIndexing, y_prev, y_cur, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """Map (Y(u-1), Y(u)) -> Y(u+1) on full index vectors.
-
-    The recurrence is symmetric in Y(u-1) <-> Y(u+1), so the same call
-    with arguments (Y(u+1), Y(u)) recovers Y(u-1).
-    """
-    if len(y_prev) != pair.n or len(y_cur) != pair.n:
-        raise ValueError(f"expected vectors of length {pair.n}")
-    with ctx.workprec():
-        prev = {k: to_mpc(v) for k, v in enumerate(y_prev)}
-        cur = {k: to_mpc(v) for k, v in enumerate(y_cur)}
-        out = _next_level(pair, prev, cur, range(pair.n), mp.mpf(ctx.tau_res), u=None)
-        return [out[k] for k in range(pair.n)]
 
 
 @dataclass
@@ -140,11 +181,29 @@ def _seeds(pair: PairIndexing, y, tol) -> list:
 
 def _levels(pair: PairIndexing, level_m1: dict, level_0: dict, u_max: int, tol, active) -> dict:
     """Levels -1 <= u <= u_max of the recurrence from its two seed levels;
-    level u holds the indices `active(u)`."""
+    level u holds the indices `active(u)`.
+
+    The seed types choose the arithmetic table (`_table`); the seeds are
+    converted to its raw form once, and each new value wrapped back once.
+    """
+    ar, raw, wrap = _table([*level_m1.values(), *level_0.values()], tol)
     levels = {-1: level_m1, 0: level_0}
+    prev, cur = ({k: raw(v) for k, v in level.items()} for level in (level_m1, level_0))
     for u in range(u_max):
-        levels[u + 1] = _next_level(pair, levels[u - 1], levels[u], active(u + 1), tol, u + 1)
+        prev, cur = cur, _next_level(pair, prev, cur, active(u + 1), ar, u + 1)
+        levels[u + 1] = {k: wrap(v) for k, v in cur.items()}
     return levels
+
+
+def _peak(values: list) -> float:
+    """max(max |Y|, 1/min |Y|) over the finite mp numbers `values`, as a float.
+    |Y| lies in [2^(e-1), 2^(e+1)) for e = `_top` of its raw form, so only
+    values within one binade of the extreme e's are taken."""
+    es = [_top(v._mpc_ if type(v) is mp.mpc else v._mpf_) for v in values]
+    hi_e, lo_e = max(es) - 1, min(es) + 1
+    hi = max(abs(v) for v, e in zip(values, es) if e >= hi_e)
+    lo = min(abs(v) for v, e in zip(values, es) if e <= lo_e)
+    return max(float(hi), float(1 / lo)) if lo > 0 else math.inf
 
 
 def _run_grid(pair: PairIndexing, y, u_max: int, bits: int, tol):
@@ -155,14 +214,7 @@ def _run_grid(pair: PairIndexing, y, u_max: int, bits: int, tol):
         yv = _seeds(pair, y, tol)
         levels = _levels(pair, {k: 1 / v for k, v in enumerate(yv)}, dict(enumerate(yv)),
                          u_max, tol, lambda u: range(pair.n))
-        hi, lo = mp.mpf(0), mp.inf
-        for level in levels.values():
-            for a in map(abs, level.values()):
-                if a > hi:
-                    hi = a
-                if a < lo:
-                    lo = a
-        peak = max(float(hi), float(1 / lo)) if lo > 0 else float("inf")
+        peak = _peak([v for level in levels.values() for v in level.values()])
     return levels, peak
 
 

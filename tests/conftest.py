@@ -1,7 +1,10 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
 from adet import PrecisionContext, pair_indexing, parse_diagram
+from adet.precision import to_mpc
+from adet.ysystem import _levels
 # Near-positive complex evaluation points, drawn exactly as the CLI draws them.
 from adet.cli import _sample_points as sample_points  # noqa: F401
 
@@ -30,6 +33,15 @@ def all_pairs_up_to(max_product: int):
             if parse_diagram(a).rank * parse_diagram(b).rank <= max_product:
                 out.append(f"{a},{b}")
     return out
+
+
+def step(p, y_prev, y_cur, ctx):
+    """Y(u+1) from (Y(u-1), Y(u)) on full index vectors: one level of the
+    recurrence's level loop, at the context's working precision."""
+    with ctx.workprec():
+        prev, cur = ({k: to_mpc(v) for k, v in enumerate(y)} for y in (y_prev, y_cur))
+        level = _levels(p, prev, cur, 1, mp.mpf(ctx.tau_res), lambda u: range(p.n))[1]
+        return [level[k] for k in range(p.n)]
 
 
 @pytest.fixture

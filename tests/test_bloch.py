@@ -146,6 +146,21 @@ def test_two_term_relations_see_the_series(z, partner, monkeypatch):
         assert abs(bloch_wigner(zz, ctx) + bloch_wigner(partner(zz), ctx)) > 1e-30
 
 
+@pytest.mark.parametrize("bits", [128, 256])
+def test_li2_just_off_the_cut(bits):
+    # Im z below the fixed-point resolution just above (2, oo): arg z reads 0
+    # while arg(1-z) reads -pi, and both must put z on the upper side of the
+    # cut, else D is off by 2 pi log|z| and Im Li2 has the wrong sign
+    ctx = PrecisionContext(mantissa_bits=bits)
+    with mp.workprec(600):
+        for z in (3 + 1e-60j, 2.5 + 1e-56j, 3 + 1e-100j, 3 + 1e-50j, 3 - 1e-60j, 3 - 1e-100j):
+            zz = mp.mpc(z)
+            ref = mp.polylog(2, zz)
+            assert abs(li2(z, ctx) - ref) < KERNEL_TOL[bits], (bits, z)
+            d = mp.im(ref) + mp.log(abs(zz)) * mp.arg(1 - zz)
+            assert abs(bloch_wigner(z, ctx) - d) < KERNEL_TOL[bits], (bits, z)
+
+
 def test_li2_cut_convention(ctx128):
     # on [1, oo) the value continues from the lower half-plane
     with ctx128.workprec():

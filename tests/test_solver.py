@@ -12,13 +12,12 @@ from adet import (
     solve_all,
     solve_positive,
     x_to_y,
-    y_step,
     y_to_x,
 )
 from adet import solver
 from adet.errors import PoleInput
 
-from conftest import ACCEPT_PAIRS, pair
+from conftest import ACCEPT_PAIRS, pair, step
 
 # nondegenerate solution counts, frozen from lex Groebner bases of the
 # cleared systems ((A1,T2) reduces to y^3 + 4y^2 + 3y - 1, etc.) and
@@ -125,9 +124,9 @@ def test_positive_solution_is_a_constant_y_system_solution(label, ctx128):
     # positive Nahm solution is a fixed point of the step and a root of R
     p = pair(label)
     y = list(solve_positive(p, ctx128).y)
-    step = y_step(p, y, y, ctx128)
+    nxt = step(p, y, y, ctx128)
     with ctx128.workprec():
-        assert max(abs(a - b) for a, b in zip(step, y)) < ctx128.tau_res
+        assert max(abs(a - b) for a, b in zip(nxt, y)) < ctx128.tau_res
         assert max(abs(r) for r in NahmPolynomialSystem(p).residual(y)) < ctx128.tau_res
 
 
@@ -137,6 +136,39 @@ def test_solve_positive_contraction(ctx128):
     steps = [s for s in sol.newton["step_norms"] if s > 0]
     assert len(steps) >= 2
     assert all(b < a for a, b in zip(steps, steps[1:]))
+
+
+def _positive_fixed_point_on_mp(p):
+    """Test oracle: the positive-cone sweep on mp numbers and their operators;
+    returns the start and the number of sweeps made."""
+    y = [mp.mpf(1)] * p.n
+    for sweeps in range(1, solver._FIXED_POINT_ITERS + 1):
+        new = []
+        for ups, downs in p.factors:
+            num = mp.mpf(1)
+            for j, m in ups:
+                num *= (1 + y[j]) ** m
+            for j, m in downs:
+                num /= (1 + 1 / y[j]) ** m
+            new.append(mp.sqrt(num))
+        drift = max(abs(a - b) / b for a, b in zip(new, y))
+        y = new
+        if drift < mp.mpf("1e-12"):
+            break
+    return y, sweeps
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_positive_fixed_point_matches_mp_sweep(bits):
+    # the sweep on raw libmp values is bit for bit the sweep on mp numbers,
+    # so Newton starts where it did; E7,A1 runs into the cap of 400 sweeps
+    ctx = adet.PrecisionContext(bits)
+    sweeps = {}
+    for label in ("A1,A1", "A1,T1", "A3,A1", "A2,A2", "D4,A1", "E6,A1", "E7,A1"):
+        with ctx.workprec(32):
+            ref, sweeps[label] = _positive_fixed_point_on_mp(pair(label))
+            assert [v._mpf_ for v in solver._positive_fixed_point(pair(label))] == [v._mpf_ for v in ref], label
+    assert sweeps["E7,A1"] == solver._FIXED_POINT_ITERS and sweeps["E6,A1"] < sweeps["E7,A1"]
 
 
 # Newton iterations of the positive solution's polish, the same at 128 and

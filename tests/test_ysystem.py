@@ -5,50 +5,66 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from mpmath import libmp
 
 import adet
 from adet import (check_periodicity, constant_residual, iterate, monomial_sign, perturbed_pair,
-                  wedge_form_residual, y_step)
+                  wedge_form_residual)
 from adet.errors import DegenerateInput, DegenerateStep, WindowTooShort
 from adet.precision import GUARD_BITS
-from adet.ysystem import ESCALATION_THRESHOLD, _levels, _run_grid, _seeds, _tropical_degrees
+from adet.ysystem import (ESCALATION_THRESHOLD, _levels, _next_level, _peak, _run_grid, _seeds, _table,
+                          _tropical_degrees)
 
-from conftest import ACCEPT_PAIRS, all_pairs_up_to, pair, sample_points
+from conftest import ACCEPT_PAIRS, all_pairs_up_to, pair, sample_points, step
 
 
-def test_y_step_hand_value_a1t1(ctx128):
+def test_step_hand_value_a1t1(ctx128):
     # single-variable recurrence with the T1 loop: Y(u+1) = [1/(1+1/Y(u))] / Y(u-1)
-    out = y_step(pair("A1,T1"), [1.0], [1.0], ctx128)
+    out = step(pair("A1,T1"), [1.0], [1.0], ctx128)
     assert abs(out[0] - mp.mpf(1) / 2) < 1e-30
+    assert abs(iterate(pair("A1,T1"), [1.0], 1, ctx128).value(0, 1) - mp.mpf(1) / 2) < 1e-30
 
 
-def test_y_step_hand_value_a1a1(ctx128):
+def test_step_hand_value_a1a1(ctx128):
     # both adjacency matrices vanish: Y(u+1) = 1/Y(u-1)
-    out = y_step(pair("A1,A1"), [1.0], [2.0], ctx128)
+    out = step(pair("A1,A1"), [1.0], [2.0], ctx128)
     assert abs(out[0] - 1) < 1e-30
-    out = y_step(pair("A1,A1"), [4.0], [0.3], ctx128)
+    out = step(pair("A1,A1"), [4.0], [0.3], ctx128)
     assert abs(out[0] - mp.mpf(1) / 4) < 1e-30
+    out = step(pair("A1,A1"), [4.0 + 1j], [0.3 - 2j], ctx128)  # the mpc table
+    with ctx128.workprec():
+        assert abs(out[0] - 1 / mp.mpc(4, 1)) < 1e-30
 
 
-def test_y_step_constant_solution_is_fixed_point(ctx128):
+def test_step_constant_solution_is_fixed_point(ctx128):
     # golden-ratio fixed points: y^2 + y = 1 for (A1,T1), y^2 = 1 + y for (T1,A1)
     with ctx128.workprec():
         y = (mp.sqrt(5) - 1) / 2
-        out = y_step(pair("A1,T1"), [y], [y], ctx128)
+        out = step(pair("A1,T1"), [y], [y], ctx128)
         assert abs(out[0] - y) < 1e-30
         phi = (1 + mp.sqrt(5)) / 2
-        out = y_step(pair("T1,A1"), [phi], [phi], ctx128)
+        out = step(pair("T1,A1"), [phi], [phi], ctx128)
         assert abs(out[0] - phi) < 1e-30
 
 
-def test_y_step_degenerate_inputs(ctx128):
+def test_step_degenerate_inputs(ctx128):
+    # each error with its message, index and u, on the mpf and the mpc table
     p = pair("A1,T1")
-    with pytest.raises(DegenerateStep):
-        y_step(p, [1.0], [0.0], ctx128)  # inverse of zero
-    with pytest.raises(DegenerateStep):
-        y_step(p, [0.0], [1.0], ctx128)  # divide by Y(u-1) = 0
-    with pytest.raises(DegenerateStep):
-        y_step(pair("A2,A1"), [1.0, 1.0], [-1.0, 1.0], ctx128)  # 1 + Y = 0
+    cases = [
+        (p, [1.0], [0.0], "Y vanished where its inverse is needed"),
+        (p, [0.0], [1.0], "Y(u-1) vanished"),
+        (p, [1.0], [-1.0], "factor 1+1/Y vanished"),
+        (pair("A2,A1"), [1.0, 1.0], [-1.0, 1.0], "factor 1+Y vanished"),
+    ]
+    for kind in (float, complex):
+        for q, prev, cur, message in cases:
+            with pytest.raises(DegenerateStep) as exc:
+                step(q, [kind(v) for v in prev], [kind(v) for v in cur], ctx128)
+            assert (str(exc.value), exc.value.index, exc.value.u) == (message, (0, 0), 1)
+        # through iterate: Y(-1) = 1/y and Y(0) = y, so 1 + Y(0) = 0 at y = -1
+        with pytest.raises(DegenerateStep) as exc:
+            iterate(pair("A2,A1"), [kind(-1.0), kind(1.0)], 3, ctx128)
+        assert (str(exc.value), exc.value.index, exc.value.u) == ("factor 1+Y vanished", (0, 0), 1)
 
 
 def test_iterate_windows_and_values(ctx128):
@@ -103,7 +119,7 @@ def test_backward_step_recovers_previous(ctx128, rng):
         y = list(rng.uniform(0.5, 2.0, p.n))
         traj = iterate(p, y, 6, ctx128)
         lv = lambda u: [traj.value(k, u) for k in range(p.n)]
-        back = y_step(p, lv(4), lv(3), ctx128)
+        back = step(p, lv(4), lv(3), ctx128)
         with ctx128.workprec():
             worst = max(abs(a - b) for a, b in zip(back, lv(2)))
         assert worst < ctx128.tau_eq
@@ -256,43 +272,73 @@ def test_escalation_on_extreme_magnitudes():
         assert traj.values == direct.values, label
 
 
-def _next_level_per_neighbour(pair, prev, cur, ks, tol, u):
+def _next_level_per_neighbour(pair, prev, cur, ks, ar, u):
     """Test oracle: the recurrence step that forms and checks each factor
-    1 + Y_j or 1 + 1/Y_j anew for every index that reads it."""
+    1 + Y_j or 1 + 1/Y_j anew for every index that reads it, written for the
+    operator table on mp objects (it divides the int 1 by the denominator)."""
     out = {}
     for k in ks:
         ups, downs = pair.factors[k]
         num = None
         for j, m in ups:
-            f = 1 + cur[j]
-            if abs(f) <= tol:
+            f = ar.one_plus(cur[j])
+            if ar.small(f):
                 raise DegenerateStep("factor 1+Y vanished", index=pair.indices[j], u=u)
-            fm = f if m == 1 else f ** m
-            num = fm if num is None else num * fm
+            fm = f if m == 1 else ar.pow(f, m)
+            num = fm if num is None else ar.mul(num, fm)
         den = None
         for j, m in downs:
             yv = cur[j]
-            if abs(yv) <= tol:
+            if ar.small(yv):
                 raise DegenerateStep("Y vanished where its inverse is needed", index=pair.indices[j], u=u)
-            f = 1 + 1 / yv
-            if abs(f) <= tol:
+            f = ar.one_plus_inv(yv)
+            if ar.small(f):
                 raise DegenerateStep("factor 1+1/Y vanished", index=pair.indices[j], u=u)
-            fm = f if m == 1 else f ** m
-            den = fm if den is None else den * fm
+            fm = f if m == 1 else ar.pow(f, m)
+            den = fm if den is None else ar.mul(den, fm)
         pv = prev[k]
-        if abs(pv) <= tol:
+        if ar.small(pv):
             raise DegenerateStep("Y(u-1) vanished", index=pair.indices[k], u=u)
         val = num if num is not None else 1
         if den is not None:
-            val = val / den
-        out[k] = val / pv
+            val = ar.div(val, den)
+        out[k] = ar.div(val, pv)
     return out
+
+
+def _bits(values: dict) -> dict:
+    """Type and raw libmp tuple of every value: equal iff bit-identical (a
+    repr prints only the digits of the ambient precision)."""
+    return {key: (type(v).__name__, getattr(v, "_mpc_", None) or v._mpf_) for key, v in values.items()}
+
+
+def _operator_table(values, tol):
+    """The operator table whatever the seed types: mp objects, mp operators."""
+    return _table([Fraction(1)], tol)
+
+
+def _reference_path(monkeypatch):
+    """Run every grid through the per-neighbour step on mp objects, through
+    the operator table: the reference for the libmp table and the factor cache."""
+    monkeypatch.setattr(adet.ysystem, "_table", _operator_table)
+    monkeypatch.setattr(adet.ysystem, "_next_level", _next_level_per_neighbour)
+
+
+def test_table_follows_seed_types():
+    # all-mpf and all-mpc seeds run on raw libmp tuples; levels mixing the
+    # two, and Fractions, run on the operators
+    with mp.workprec(144):
+        assert _table([mp.mpf(2), mp.mpf(3)], 1e-20)[1](mp.mpf(2)) == mp.mpf(2)._mpf_
+        assert _table([mp.mpc(2, 1), mp.mpc(3)], 1e-20)[1](mp.mpc(2, 1)) == mp.mpc(2, 1)._mpc_
+        for values in ([mp.mpf(2), mp.mpc(3, 1)], [Fraction(1, 2)], [mp.pi]):
+            ar, raw, wrap = _table(values, 1e-20)
+            assert ar.small(mp.mpc(1e-21, 0)) and raw(values[0]) is values[0], values
 
 
 # (pair, seed vector, u_max, tau_res, escalates).  No unperturbed pair has an
 # exponent above 1 (A1,T2's loop is I_22 = 1), so in the bumped A3,A1 the
 # factor 1 + Y_1 enters Y_0 squared and Y_2 once; A1,T2 has the tadpole
-# loop, the complex seed takes the mpc path, and the deep-epsilon A2,A1 grid
+# loop, the complex seeds take the mpc table, and the deep-epsilon A2,A1 grid
 # escalates
 ORACLE_CASES = {
     "A3,A1": (pair("A3,A1"), [0.7, 1.3, 1.9], None, 1e-20, False),
@@ -301,6 +347,9 @@ ORACLE_CASES = {
     "A3,A1 bumped": (perturbed_pair(pair("A3,A1"), "x", 0, 1), [0.8, 1.7, 1.2], None, 1e-20, False),
     "A2,A2 complex": (pair("A2,A2"), [complex(0.8, 0.1), complex(1.5, -0.05), complex(1.1, 0.07),
                                       complex(0.6, -0.1)], None, 1e-20, False),
+    "E6,A1 complex": (pair("E6,A1"), [complex(0.6, 0.08), complex(1.1, -0.02), complex(1.7, 0.05),
+                                      complex(0.9, -0.09), complex(1.4, 0.01), complex(0.8, -0.06)],
+                      None, 1e-20, False),
     "A2,A1 escalating": (pair("A2,A1"), [1e-20, 1e-20], 9, 1e-300, True),
 }
 
@@ -308,16 +357,17 @@ ORACLE_CASES = {
 @pytest.mark.parametrize("bits", [128, 256])
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_factor_cache_matches_per_neighbour_step(case, bits, monkeypatch):
-    # each factor formed once per level changes no value: iterate is bit for
-    # bit the trajectory of the per-neighbour step, escalation included
+    # the libmp table with each factor formed once per level changes no
+    # value: iterate is bit for bit the trajectory of the per-neighbour step
+    # on mp objects, escalation included
     p, y, u_max, tau_res, escalates = ORACLE_CASES[case]
     ctx = adet.PrecisionContext(mantissa_bits=bits, tau_res=tau_res)
     u_max = 2 * p.period if u_max is None else u_max
     traj = iterate(p, y, u_max, ctx)
-    monkeypatch.setattr(adet.ysystem, "_next_level", _next_level_per_neighbour)
+    _reference_path(monkeypatch)
     ref = iterate(p, y, u_max, ctx)
     assert traj.precision_bits == ref.precision_bits == (256 if escalates else bits)
-    assert repr(traj.values) == repr(ref.values)
+    assert _bits(traj.values) == _bits(ref.values)
 
 
 def test_factor_cache_keeps_wedge_residual(ctx128, monkeypatch):
@@ -325,13 +375,70 @@ def test_factor_cache_keeps_wedge_residual(ctx128, monkeypatch):
     p = pair("E6,A1")
     pt = sample_points(p, 1, np.random.default_rng(4))[0]
     res = wedge_form_residual(p, pt, ctx128).residual
-    monkeypatch.setattr(adet.ysystem, "_next_level", _next_level_per_neighbour)
-    assert repr(res) == repr(wedge_form_residual(p, pt, ctx128).residual)
+    _reference_path(monkeypatch)
+    assert res._mpf_ == wedge_form_residual(p, pt, ctx128).residual._mpf_
 
 
-def _raised(step, p, prev, cur, tol, u):
+@pytest.mark.parametrize("case,kind", [("E6,A1", mp.mpf), ("E6,A1 complex", mp.mpc)])
+def test_oracle_sees_a_rounding_mutant(case, kind, monkeypatch):
+    # the comparison is not vacuous: a libmp division rounding down instead
+    # of to nearest moves the trajectory off the reference
+    p, y, _, tau_res, _ = ORACLE_CASES[case]
+    ctx = adet.PrecisionContext(mantissa_bits=128, tau_res=tau_res)
+    attr, wrap, add, rdiv, mul, div, *rest = adet.ysystem._LIBMP[kind]
+    floor_div = lambda a, b, prec, rnd: div(a, b, prec, libmp.round_floor)  # noqa: E731
+    monkeypatch.setitem(adet.ysystem._LIBMP, kind, (attr, wrap, add, rdiv, mul, floor_div, *rest))
+    mutant = iterate(p, y, 2 * p.period, ctx)
+    _reference_path(monkeypatch)
+    assert _bits(mutant.values) != _bits(iterate(p, y, 2 * p.period, ctx).values)
+
+
+def _near_tol(tol, kind):
+    """0, +-tol, tol (1 +- 2^-k), 2 tol and tol/2 as `kind`; for mpc also on
+    the imaginary axis and off both axes, with a value whose parts are each
+    below tol while its modulus is above."""
+    reals = [mp.mpf(0), tol, -tol, 2 * tol, tol / 2, 4 * tol, tol / 4]
+    reals += [tol * (1 + s * mp.mpf(2) ** -k) for k in (1, 2, 3, 10, 53, 100, 140, 143, 144) for s in (1, -1)]
+    if kind is mp.mpf:
+        return reals
+    c = tol * mp.mpf("0.8")
+    return ([mp.mpc(v) for v in reals] + [mp.mpc(0, v) for v in reals] + [mp.mpc(c, c), mp.mpc(-c, c)]
+            + [mp.mpc(v * mp.cos(t), v * mp.sin(t)) for v in reals[1:] for t in (0.3, 2.0, -1.2)])
+
+
+@pytest.mark.parametrize("kind", [mp.mpf, mp.mpc])
+@pytest.mark.parametrize("tau", [1e-20, 1e-300, 0.75, 1.0])
+def test_small_agrees_with_abs(kind, tau):
+    # the exponent screen and its fallback answer exactly as |x| <= tol
+    with mp.workprec(144):
+        tol = mp.mpf(tau)
+        ar, raw, _ = _table([kind(1)], tol)
+        points = _near_tol(tol, kind)
+        if kind is mp.mpc:
+            c = tol * mp.mpf("0.8")
+            assert abs(mp.mpc(c, c)) > tol and not ar.small(raw(mp.mpc(c, c)))
+        for v in points:
+            assert ar.small(raw(v)) == (abs(v) <= tol), (kind, tau, v)
+
+
+@pytest.mark.parametrize("kind", [mp.mpf, mp.mpc])
+def test_small_sees_a_narrow_band(kind, monkeypatch):
+    # with the band one binade too narrow the screen decides values just
+    # above tol from the exponent alone, and wrongly (for mpc only where tol
+    # sits low in its binade, as 1.0 does)
+    entry = adet.ysystem._LIBMP[kind]
+    monkeypatch.setitem(adet.ysystem._LIBMP, kind, (*entry[:-1], entry[-1] - 1))
+    with mp.workprec(144):
+        wrong = 0
+        for tol in (mp.mpf(1e-20), mp.mpf(1)):
+            ar, raw, _ = _table([kind(1)], tol)
+            wrong += sum(ar.small(raw(v)) != (abs(v) <= tol) for v in _near_tol(tol, kind))
+        assert wrong > 0
+
+
+def _raised(step, p, prev, cur, ar, wrap, u):
     try:
-        return repr(step(p, prev, cur, range(p.n), tol, u))
+        return _bits({k: wrap(v) for k, v in step(p, prev, cur, range(p.n), ar, u).items()})
     except DegenerateStep as exc:
         return (str(exc), exc.index, exc.u)
 
@@ -339,18 +446,24 @@ def _raised(step, p, prev, cur, tol, u):
 @pytest.mark.parametrize("label", ["A3,A1", "A1,A3", "A2,A2", "A1,T2", "D4,A1"])
 def test_degenerate_step_same_as_per_neighbour(label, ctx128):
     # over every level with components in {-1, 0, 1/2, 2} (and a zero or a
-    # one in Y(u-1)), the step raises the error the per-neighbour step
-    # raises, with its message, index and u, or returns its values
+    # one in Y(u-1)), the step on the libmp table raises the error the
+    # per-neighbour step on mp objects raises, with its message, index and
+    # u, or returns its values, for mpf and mpc levels
     p = pair(label)
     with ctx128.workprec():
         tol = mp.mpf(ctx128.tau_res)
-        comps = [mp.mpf(-1), mp.mpf(0), mp.mpf(0.5), mp.mpf(2)]
-        for cur in itertools.product(comps, repeat=p.n):
-            cur = dict(enumerate(cur))
-            for zero in range(-1, p.n):
-                prev = {k: mp.mpf(0 if k == zero else 1) for k in range(p.n)}
-                got = _raised(adet.ysystem._next_level, p, prev, cur, tol, 3)
-                assert got == _raised(_next_level_per_neighbour, p, prev, cur, tol, 3), (label, cur, zero)
+        ops = _operator_table(None, tol)[0]
+        for kind in (mp.mpf, mp.mpc):
+            ar, raw, wrap = _table([kind(1)], tol)
+            comps = [kind(-1), kind(0), kind(0.5), kind(2)]
+            for cur in itertools.product(comps, repeat=p.n):
+                cur = dict(enumerate(cur))
+                for zero in range(-1, p.n):
+                    prev = {k: kind(0 if k == zero else 1) for k in range(p.n)}
+                    got = _raised(_next_level, p, {k: raw(v) for k, v in prev.items()},
+                                  {k: raw(v) for k, v in cur.items()}, ar, wrap, 3)
+                    ref = _raised(_next_level_per_neighbour, p, prev, cur, ops, lambda v: v, 3)
+                    assert got == ref, (label, kind, cur, zero)
 
 
 def test_degenerate_shared_factor(ctx128):
@@ -367,8 +480,8 @@ def test_degenerate_shared_factor(ctx128):
                   if any(j == 1 for j, _ in ups + downs)]
         assert len(shared) == 2, label
         with pytest.raises(DegenerateStep) as exc:
-            y_step(p, [1.0, 1.0, 1.0], [0.5, value, 2.0], ctx128)
-        assert (str(exc.value), exc.value.index, exc.value.u) == (message, p.indices[1], None)
+            step(p, [1.0, 1.0, 1.0], [0.5, value, 2.0], ctx128)
+        assert (str(exc.value), exc.value.index, exc.value.u) == (message, p.indices[1], 1)
         if value:  # a zero seed is refused before any step
             with pytest.raises(DegenerateStep) as exc:
                 iterate(p, [0.5, value, 2.0], 4, ctx128)
@@ -387,6 +500,15 @@ def test_peak_matches_naive_max(label, y, u_max, bits, tau_res):
     levels, peak = _run_grid(pair(label), y, u_max, bits, tau_res)
     with mp.workprec(bits + GUARD_BITS):
         assert peak == max(float(max(a, 1 / a)) for level in levels.values() for a in map(abs, level.values()))
+
+
+def test_peak_reads_moduli_across_binades():
+    # an mpc whose larger part lies a binade below another value's can still
+    # hold the extreme modulus: |0.9 + 0.9i| = 1.27 > 1, and 0.5 < |0.45 + 0.45i|
+    with mp.workprec(144):
+        for values in ([mp.mpc(0.9, 0.9), mp.mpc(1)], [mp.mpc(0.5), mp.mpc(0.45, 0.45)]):
+            mags = [abs(v) for v in values]
+            assert _peak(values) == max(float(max(mags)), float(1 / min(mags))), values
 
 
 def test_escalation_on_small_magnitudes_only():
