@@ -149,8 +149,9 @@ def test_two_term_relations_see_the_series(z, partner, monkeypatch):
 @pytest.mark.parametrize("bits", [128, 256])
 def test_li2_just_off_the_cut(bits):
     # Im z below the fixed-point resolution just above (2, oo): arg z reads 0
-    # while arg(1-z) reads -pi, and both must put z on the upper side of the
-    # cut, else D is off by 2 pi log|z| and Im Li2 has the wrong sign
+    # while arg(1-z) reads -pi, and both logarithms must be read on the upper
+    # side of the cut, else D is off by 2 pi log|z| and Im Li2 has the wrong
+    # sign; the points below the cut and at 1e-50 are controls
     ctx = PrecisionContext(mantissa_bits=bits)
     with mp.workprec(600):
         for z in (3 + 1e-60j, 2.5 + 1e-56j, 3 + 1e-100j, 3 + 1e-50j, 3 - 1e-60j, 3 - 1e-100j):
