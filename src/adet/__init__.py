@@ -34,7 +34,7 @@ from .dynkin import (
     parse_diagram,
 )
 from .precision import DEFAULT_CONTEXT, PrecisionContext
-from .qseries import PowerSeries, compare_series, eta_like_product, f_abc, inverse_pochhammer_q, pochhammer_q
+from .qseries import PowerSeries, compare_series, eta_like_product, f_abc, inverse_pochhammer_q
 from .report import CheckRecord, VerificationReport
 from .solver import (
     NahmPolynomialSystem,
@@ -44,10 +44,9 @@ from .solver import (
     nahm_branch_diagnostics,
     solve_all,
     solve_positive,
-    x_to_y,
     y_to_x,
 )
-from .verify import WedgeResidual, dilog_sum_over_Splus, log_gradients_fd, perturbed_pair, wedge_form_residual
+from .verify import WedgeResidual, dilog_sum_over_Splus, perturbed_pair, wedge_form_residual
 from .ysystem import (
     YTrajectory,
     check_periodicity,
@@ -91,7 +90,6 @@ __all__ = [
     "inverse_pochhammer_q",
     "iterate",
     "li2",
-    "log_gradients_fd",
     "make_diagram",
     "monomial_sign",
     "nahm_branch_diagnostics",
@@ -99,14 +97,12 @@ __all__ = [
     "pair_indexing",
     "parse_diagram",
     "perturbed_pair",
-    "pochhammer_q",
     "relation_residuals",
     "rogers_L",
     "solve_all",
     "solve_positive",
     "torsion_check",
     "wedge_form_residual",
-    "x_to_y",
     "xi_D",
     "y_to_x",
 ]

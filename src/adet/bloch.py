@@ -268,6 +268,7 @@ def relation_residuals(x, y, ctx: PrecisionContext = DEFAULT_CONTEXT):
         return abs(d_x + d_w + d_y + d_a + d_b), abs(d_x + d_1x), abs(d_x + d_inv)
 
 
+# no caller in the library: perfbench/tracing.py patches it by name
 def five_term_residual(x, y, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """|D(x) + D(1-xy) + D(y) + D((1-y)/(1-xy)) + D((1-x)/(1-xy))|, the first
     entry of relation_residuals."""

@@ -322,13 +322,13 @@ def _cmd_qseries(args) -> VerificationReport:
         meta = {"order": order, "matrix": AG_R2["A"], "modulus": 7, "residues": list(AG_R2["residues"])}
     else:
         order = args.N or 100
-        if not args.matrix:
+        if args.matrix is None:
             raise argparse.ArgumentTypeError("qseries custom requires --matrix")
         if (args.residues is None) != (args.modulus is None):
             raise argparse.ArgumentTypeError(
                 "qseries custom: --residues and --modulus must be given together")
         a, b = args.matrix, args.b
-        if b:
+        if b is not None:
             # B is checked on its own first, so that its faults name --b
             try:
                 bvec = [Fraction(v) for v in b]
@@ -339,7 +339,7 @@ def _cmd_qseries(args) -> VerificationReport:
                     f"--b {json.dumps(b)}: length {len(bvec)}, expected {len(a)} "
                     "(one entry per matrix row)")
         try:
-            series = qseries.f_abc(a, b or [0] * len(a), args.c, order)
+            series = qseries.f_abc(a, [0] * len(a) if b is None else b, args.c, order)
         except NonIntegralExponent:
             raise
         # A not an r x r positive-definite matrix; a JSON number too large

@@ -106,10 +106,6 @@ class RationalMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
 
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
         return self.entries[i][j]
@@ -123,17 +119,6 @@ class RationalMatrix:
     def __repr__(self):
         body = "; ".join(" ".join(str(v) for v in row) for row in self.entries)
         return f"RationalMatrix[{self.rows}x{self.cols}: {body}]"
-
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        return RationalMatrix(
-            [
-                [sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
-                 for j in range(other.cols)]
-                for i in range(self.rows)
-            ]
-        )
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
@@ -188,13 +173,6 @@ class RationalMatrix:
             "cols": self.cols,
             "entries": [[str(v) for v in row] for row in self.entries],
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "RationalMatrix":
-        m = cls([[Fraction(s) for s in row] for row in obj["entries"]])
-        if m.rows != obj["rows"] or m.cols != obj["cols"]:
-            raise ValueError("matrix JSON shape mismatch")
-        return m
 
 
 def adjacency_matrix(d: DynkinDiagram) -> RationalMatrix:

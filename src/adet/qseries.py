@@ -1,9 +1,10 @@
-"""Exact truncated q-series: Pochhammer symbols, Nahm-type sums, and
-residue-class infinite products.
+"""Exact truncated q-series: Nahm-type sums, residue-class infinite products,
+and their coefficientwise comparison.
 
 Coefficients are arbitrary-size Python integers; a global prefactor exponent
-q^C is carried separately as an exact Fraction.  Arithmetic tracks the
-minimum valid truncation order and never fabricates coefficients beyond it.
+q^C is carried separately as an exact Fraction.  Both sides are built by
+dividing an integer list by 1 - q^m in place, to a fixed truncation order,
+so no coefficient beyond that order is ever fabricated.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ from .report import CheckRecord, VerificationReport
 
 __all__ = [
     "PowerSeries",
-    "pochhammer_q",
     "inverse_pochhammer_q",
     "f_abc",
     "eta_like_product",
@@ -39,69 +39,6 @@ class PowerSeries:
             raise ValueError("coefficient list must have length trunc + 1")
         object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
         object.__setattr__(self, "prefactor_exp", Fraction(self.prefactor_exp))
-
-    @classmethod
-    def one(cls, trunc: int, prefactor_exp=Fraction(0)) -> "PowerSeries":
-        return cls((1,) + (0,) * trunc, trunc, prefactor_exp)
-
-    def coefficient(self, k: int) -> int:
-        if not 0 <= k <= self.trunc:
-            raise IndexError(f"order {k} beyond truncation {self.trunc}")
-        return self.coeffs[k]
-
-    def with_prefactor(self, c) -> "PowerSeries":
-        return PowerSeries(self.coeffs, self.trunc, Fraction(c))
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        if self.prefactor_exp != other.prefactor_exp:
-            raise ValueError("cannot add series with different prefactor exponents")
-        n = min(self.trunc, other.trunc)
-        return PowerSeries(
-            tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1)), n, self.prefactor_exp
-        )
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        if self.prefactor_exp != other.prefactor_exp:
-            raise ValueError("cannot subtract series with different prefactor exponents")
-        n = min(self.trunc, other.trunc)
-        return PowerSeries(
-            tuple(self.coeffs[k] - other.coeffs[k] for k in range(n + 1)), n, self.prefactor_exp
-        )
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.trunc, other.trunc)
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(0, n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return PowerSeries(tuple(out), n, self.prefactor_exp + other.prefactor_exp)
-
-    def shifted(self, k: int) -> "PowerSeries":
-        """Multiply by q^k (integer k >= 0), keeping the truncation order."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        out = (0,) * min(k, self.trunc + 1) + self.coeffs[: max(self.trunc + 1 - k, 0)]
-        return PowerSeries(out, self.trunc, self.prefactor_exp)
-
-    def inverse(self) -> "PowerSeries":
-        """Reciprocal series; requires a unit constant term (+-1)."""
-        c0 = self.coeffs[0]
-        if c0 not in (1, -1):
-            raise ValueError("series inverse requires constant term +-1")
-        n = self.trunc
-        out = [0] * (n + 1)
-        out[0] = c0
-        for k in range(1, n + 1):
-            acc = 0
-            for j in range(1, k + 1):
-                if self.coeffs[j]:
-                    acc += self.coeffs[j] * out[k - j]
-            out[k] = -c0 * acc
-        return PowerSeries(tuple(out), n, -self.prefactor_exp)
 
     def head(self, terms: int = 9) -> str:
         parts = []
@@ -126,17 +63,7 @@ def _divide_by_binomial(coeffs: list, m: int) -> None:
         coeffs[k] += coeffs[k - m]
 
 
-def pochhammer_q(n: int, trunc: int) -> PowerSeries:
-    """(q)_n = (1-q)(1-q^2)...(1-q^n), exactly, to the given order."""
-    if n < 0 or trunc < 0:
-        raise ValueError("n and trunc must be nonnegative")
-    coeffs = [1] + [0] * trunc
-    for m in range(1, min(n, trunc) + 1):
-        for k in range(trunc, m - 1, -1):  # descending: coeffs[k - m] is still the old value
-            coeffs[k] -= coeffs[k - m]
-    return PowerSeries(tuple(coeffs), trunc)
-
-
+# no caller in the library: perfbench/tracing.py patches it by name
 def inverse_pochhammer_q(n: int, trunc: int) -> PowerSeries:
     """1/(q)_n: the generating function of partitions into parts <= n."""
     if n < 0 or trunc < 0:

@@ -29,7 +29,6 @@ from .precision import DEFAULT_CONTEXT, PrecisionContext, to_mpc
 from .ysystem import _table, constant_residual
 
 __all__ = [
-    "x_to_y",
     "y_to_x",
     "NahmPolynomialSystem",
     "solve_positive",
@@ -60,25 +59,15 @@ _HALVING_BLOCKS = (np.arange(1),) + tuple(
 _FIXED_POINT_ITERS = 400  # cap of the positive-cone sweep that seeds Newton
 
 
-def _moebius(values, sign: int, pole: str, ctx: PrecisionContext):
-    """v / (1 + sign v) on a scalar, or componentwise on a sequence; PoleInput at v = -sign."""
+def y_to_x(y, ctx: PrecisionContext = DEFAULT_CONTEXT):
+    """x = y / (1 + y), on a scalar or componentwise on a sequence; PoleInput at y = -1."""
     with ctx.workprec():
         def one(v):
             vv = to_mpc(v)
-            if vv == -sign:
-                raise PoleInput(pole)
-            return vv / (1 + vv if sign > 0 else 1 - vv)  # sign * vv would round vv first
-        return [one(v) for v in values] if isinstance(values, (list, tuple, np.ndarray)) else one(values)
-
-
-def x_to_y(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """y = x / (1 - x), componentwise; PoleInput at x = 1."""
-    return _moebius(x, -1, "x = 1 is a pole of x -> y", ctx)
-
-
-def y_to_x(y, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """x = y / (1 + y), componentwise; PoleInput at y = -1."""
-    return _moebius(y, 1, "y = -1 is a pole of y -> x", ctx)
+            if vv == -1:
+                raise PoleInput("y = -1 is a pole of y -> x")
+            return vv / (1 + vv)
+        return [one(v) for v in y] if isinstance(y, (list, tuple, np.ndarray)) else one(y)
 
 
 class NahmPolynomialSystem:

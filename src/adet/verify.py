@@ -14,8 +14,8 @@ controls (a bumped recurrence exponent, or a single multiplicity d lowered by
 one) must push the residual above 1e-3.
 
 G is computed by the tangent (linearized) Y-system on the same P+ levels as
-the values (`_tangent_grid`); finite differences (`log_gradients_fd`) are kept
-as an independent cross-check.
+the values (`_tangent_grid`); the tests cross-check it against central finite
+differences of the recurrence.
 """
 from __future__ import annotations
 
@@ -34,7 +34,6 @@ __all__ = [
     "wedge_form_residual",
     "dilog_sum_over_Splus",
     "perturbed_pair",
-    "log_gradients_fd",
 ]
 
 
@@ -169,30 +168,3 @@ def perturbed_pair(pair: PairIndexing, side: str, i: int, j: int, delta: int = 1
     if side == "x":
         return replace(pair, ix=bumped)
     return replace(pair, ixp=bumped)
-
-
-def log_gradients_fd(pair: PairIndexing, point, k: int, u: int,
-                     ctx: PrecisionContext = DEFAULT_CONTEXT, step="1e-20"):
-    """Central-difference gradients of log Y_k(u) and log(1+Y_k(u)).
-
-    Independent cross-check for the tangent recurrence (`_tangent_grid`):
-    G = grad log Y and x * G = grad log(1+Y).  Runs at >= 256 bits so the
-    O(step) cancellation leaves ample accuracy.
-    """
-    bits = max(ctx.mantissa_bits, 256)
-    fd_ctx = replace(ctx, mantissa_bits=bits)
-    with fd_ctx.workprec(32):
-        h = mp.mpf(step)
-        base = [to_mpc(v) for v in point]
-        glog_y, glog_1py = [], []
-        for p in range(pair.n):
-            shifted = []
-            for sgn in (1, -1):
-                pt = list(base)
-                pt[p] = pt[p] + sgn * h
-                traj = ysystem.iterate(pair, pt, u, fd_ctx)
-                shifted.append(traj.values[(k, u)])
-            vp, vm = shifted
-            glog_y.append((mp.log(vp) - mp.log(vm)) / (2 * h))
-            glog_1py.append((mp.log(1 + vp) - mp.log(1 + vm)) / (2 * h))
-        return glog_y, glog_1py

@@ -160,15 +160,6 @@ class YTrajectory:
     def value(self, k: int, u: int):
         return self.values[(k, u)]
 
-    def to_json_obj(self) -> dict:
-        us = list(range(-1, self.u_max + 1))
-        out = {}
-        for k, (i, ip) in enumerate(self.pair.indices):
-            out[f"({i},{ip})"] = [
-                [float(mp.re(self.values[(k, u)])), float(mp.im(self.values[(k, u)]))] for u in us
-            ]
-        return {"pair": self.pair.label, "u": us, "values": out}
-
 
 def _seeds(pair: PairIndexing, y, tol) -> list:
     """The seed vector y as mp numbers; DegenerateStep at a zero component."""
@@ -289,11 +280,6 @@ def _tropical_table(pair: PairIndexing) -> tuple:
     return tuple(table)
 
 
-def _tropical_degrees(pair: PairIndexing, u: int) -> tuple:
-    """Tropical degrees of Y(u) for 0 <= u < period (`_tropical_table`)."""
-    return _tropical_table(pair)[u]
-
-
 def monomial_sign(pair: PairIndexing, k: int, u: int,
                   ctx: PrecisionContext = DEFAULT_CONTEXT) -> int:
     """Sign of the leading monomial of Y_k(u): +1 when its tropical degree is
@@ -306,7 +292,7 @@ def monomial_sign(pair: PairIndexing, k: int, u: int,
         raise ValueError(f"u={u} outside the S+ window [0, {pair.period})")
     if not pair.in_P_plus(k, u):
         raise ValueError(f"(index {k}, u={u}) is not in P+")
-    deg = _tropical_degrees(pair, u)[k]
+    deg = _tropical_table(pair)[u][k]
     if deg == 0:
         raise ArithmeticError(f"leading monomial of index {pair.indices[k]}, u={u} has degree 0")
     return 1 if deg > 0 else -1

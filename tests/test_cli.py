@@ -244,6 +244,8 @@ def test_precision_below_53_bits_exits_2(capsys):
     ("[[-1]]", "positive definite"), ("[[2", "bad JSON"), ("5", "--matrix 5"), ("[[2, 1]]", "r x r"),
     # JSON reads 1e400 as inf, which no Fraction holds; a tuple case adds --b
     ("[[1e400]]", "Infinity"), (("[[2]]", "--b", "[1e400]"), "Infinity"),
+    # an empty matrix was given, so the fault is its shape, not a missing flag
+    ("[]", "r x r"),
 ])
 def test_qseries_custom_bad_matrix_exits_2(matrix, fragment, capsys):
     argv = [matrix] if isinstance(matrix, str) else list(matrix)
@@ -255,6 +257,7 @@ def test_qseries_custom_bad_matrix_exits_2(matrix, fragment, capsys):
     ("[[2]]", "[1e400]", "--b [Infinity]: cannot convert Infinity", "--matrix"),
     ("[[2]]", "[0, 1]", "--b [0, 1]: length 2, expected 1", "--matrix"),
     ("[[2, 1], [1, 2]]", "[0]", "--b [0]: length 1, expected 2", "--matrix"),
+    ("[[2]]", "[]", "--b []: length 0, expected 1", "--matrix"),
     # a valid --b leaves a fault of the matrix named --matrix
     ("[[2, 1]]", "[0]", "--matrix [[2, 1]]: ", "--b"),
 ])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -6,11 +8,11 @@ import adet
 from adet import (
     dilog_sum_over_Splus,
     iterate,
-    log_gradients_fd,
     perturbed_pair,
     wedge_form_residual,
 )
 from adet.errors import DegeneratePoint
+from adet.precision import to_mpc
 from adet.verify import _tangent_grid
 
 from conftest import ACCEPT_PAIRS, pair, sample_points
@@ -44,6 +46,30 @@ def test_jet_gradients_match_hand_formulas(ctx128):
         for u, ref in expect.items():
             yv, _, g = grid[(0, u)]
             assert abs(yv * g[0] - ref) < 1e-38
+
+
+def log_gradients_fd(pair, point, k, u, ctx, step="1e-20"):
+    """Central-difference gradients of log Y_k(u) and log(1+Y_k(u)).
+
+    Independent cross-check for the tangent recurrence (`_tangent_grid`):
+    G = grad log Y and x * G = grad log(1+Y).  Runs at >= 256 bits so the
+    O(step) cancellation leaves ample accuracy.
+    """
+    fd_ctx = replace(ctx, mantissa_bits=max(ctx.mantissa_bits, 256))
+    with fd_ctx.workprec(32):
+        h = mp.mpf(step)
+        base = [to_mpc(v) for v in point]
+        glog_y, glog_1py = [], []
+        for p in range(pair.n):
+            shifted = []
+            for sgn in (1, -1):
+                pt = list(base)
+                pt[p] = pt[p] + sgn * h
+                shifted.append(iterate(pair, pt, u, fd_ctx).values[(k, u)])
+            vp, vm = shifted
+            glog_y.append((mp.log(vp) - mp.log(vm)) / (2 * h))
+            glog_1py.append((mp.log(1 + vp) - mp.log(1 + vm)) / (2 * h))
+        return glog_y, glog_1py
 
 
 def test_jet_gradients_match_finite_differences(ctx128, rng):

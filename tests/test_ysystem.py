@@ -13,7 +13,7 @@ from adet import (check_periodicity, constant_residual, iterate, monomial_sign, 
 from adet.errors import DegenerateInput, DegenerateStep, WindowTooShort
 from adet.precision import GUARD_BITS
 from adet.ysystem import (ESCALATION_THRESHOLD, _levels, _next_level, _peak, _run_grid, _seeds, _table,
-                          _tropical_degrees)
+                          _tropical_table)
 
 from conftest import ACCEPT_PAIRS, all_pairs_up_to, pair, sample_points, step
 
@@ -231,8 +231,7 @@ def test_tropical_degrees_never_zero():
     # never meets degree 0 on these pairs
     for label in all_pairs_up_to(16):
         p = pair(label)
-        for u in range(p.period):
-            degrees = _tropical_degrees(p, u)
+        for u, degrees in enumerate(_tropical_table(p)):
             assert all(degrees[k] != 0 for k in p.active_indices(u)), (label, u)
 
 
@@ -549,14 +548,3 @@ def test_constant_residual_degenerate_inputs(ctx128):
         constant_residual(p, [0.0, 1.0], ctx128)
     with pytest.raises(DegenerateInput):
         constant_residual(p, [1.0, -1.0], ctx128)
-
-
-def test_trajectory_json_dump(ctx128):
-    p = pair("A2,A1")
-    traj = iterate(p, [1.0, 1.5], 4, ctx128)
-    obj = traj.to_json_obj()
-    assert obj["pair"] == "A2,A1"
-    assert obj["u"] == list(range(-1, 5))
-    assert set(obj["values"]) == {"(0,0)", "(1,0)"}
-    assert all(len(v) == 6 for v in obj["values"].values())
-    assert all(len(entry) == 2 for v in obj["values"].values() for entry in v)
