@@ -27,7 +27,6 @@ working precision.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -285,7 +284,6 @@ def xi_D(solution, ctx: PrecisionContext = DEFAULT_CONTEXT):
 def torsion_check(solutions, ctx: PrecisionContext = DEFAULT_CONTEXT,
                   tolerance: float = TORSION_TOLERANCE) -> VerificationReport:
     """Necessary torsion condition: |sum_i D(x_i)| < tolerance per solution."""
-    t0 = time.perf_counter()
     sols = solutions.solutions
     if not sols:
         raise DegenerateInput("empty solution set")
@@ -299,7 +297,6 @@ def torsion_check(solutions, ctx: PrecisionContext = DEFAULT_CONTEXT,
         records=records,
         seed=getattr(solutions, "seed", None),
         precision_bits=ctx.mantissa_bits,
-        wall_time_s=time.perf_counter() - t0,
     )
 
 

@@ -6,10 +6,12 @@ Every subcommand accepts --json PATH to dump the structured report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import mpmath as mp
 import numpy as np
@@ -44,6 +46,13 @@ def _positive_int(text: str) -> int:
     value = _int(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    value = _int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
     return value
 
 
@@ -82,9 +91,13 @@ def _precision_bits(text: str) -> int:
 
 def _json_arg(text: str):
     try:
-        return json.loads(text)
+        value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise argparse.ArgumentTypeError(f"bad JSON {text!r}: {exc}") from exc
+    # None is also what argparse gives for a flag not passed
+    if value is None:
+        raise argparse.ArgumentTypeError(f"{text!r} is JSON null, not a value")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,7 +117,8 @@ def _add_global_flags(parser, suppress=False):
                         help="mantissa bits (default 128)")
     parser.add_argument("--tol-scale", type=_tol_scale, default=default(1.0),
                         help="multiplies every default tolerance (finite, > 0)")
-    parser.add_argument("--seed", type=int, default=default(0), help="RNG seed for sampled checks")
+    parser.add_argument("--seed", type=_nonnegative_int, default=default(0),
+                        help="RNG seed for sampled checks (>= 0)")
     parser.add_argument("--json", metavar="PATH", default=default(None), help="write the report as JSON")
 
 
@@ -126,11 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--starts", type=_positive_int, default=2000)
 
     p = sub.add_parser("verify", help="run one verification family")
-    p.add_argument("what", choices=["periodicity", "wedge", "dilogsum", "torsion", "fiveterm"])
+    p.add_argument("what", choices=list(FAMILIES))
     p.add_argument("--pair", type=_pair_arg, metavar="X,X'")
-    p.add_argument("--points", type=_positive_int, default=None, help="sample count (default per check)")
-    p.add_argument("--seeds", type=_positive_int, default=20, help="random seeds for periodicity")
-    p.add_argument("--starts", type=_positive_int, default=2000, help="multistart budget for torsion")
+    for flag in dict.fromkeys(f.count_flag for f in FAMILIES.values()):
+        p.add_argument(f"--{flag}", type=_positive_int, help=f"number of {flag} (default per family)")
 
     p = sub.add_parser("qseries", help="sum-side vs product-side series identities")
     p.add_argument("what", choices=["rr", "ag", "custom"])
@@ -200,7 +213,6 @@ def _cmd_matrix(args) -> VerificationReport:
 def _cmd_solve(args) -> VerificationReport:
     ctx = _ctx(args)
     tol = ctx.tau_res * args.tol_scale
-    t0 = time.perf_counter()
     if args.all:
         sols = _solve_all(args.pair, ctx, args.starts, args.seed)
         records = tuple(
@@ -212,13 +224,13 @@ def _cmd_solve(args) -> VerificationReport:
         sol = solver.solve_positive(args.pair, ctx)
         records = (CheckRecord.make("constant Y-system residual (positive solution)", sol.residual, tol),)
         meta = {"pair": args.pair.label, "x": [mp.nstr(mp.re(v), 30) for v in sol.x]}
-    return VerificationReport("solve", meta, records, args.seed, args.precision_bits,
-                              time.perf_counter() - t0)
+    return VerificationReport("solve", meta, records, args.seed, args.precision_bits)
 
 
-# One function per check family; `verify` runs one family, `report` runs them all.
+# Records functions of the check families in FAMILIES.  They call the library
+# through module attributes, so a function patched there is the one called.
 
-def _check_periodicity(pair, ctx, rng, count, tol_scale) -> list:
+def _periodicity_records(pair, ctx, rng, count, tol_scale, seed) -> list:
     tol = ctx.tau_eq * tol_scale
     records = []
     for s in range(count):
@@ -229,34 +241,29 @@ def _check_periodicity(pair, ctx, rng, count, tol_scale) -> list:
     return records
 
 
-# family -> (record name, residual at one point, default point count)
-_POINT_FAMILIES = {
-    "wedge": ("wedge 2-form residual",
-              lambda pair, pt, ctx: verify.wedge_form_residual(pair, pt, ctx).residual, 5),
-    "dilogsum": ("|sum d D(f)| over S+",
-                 lambda pair, pt, ctx: abs(verify.dilog_sum_over_Splus(pair, pt, ctx)), 10),
-}
-
-
-def _check_points(pair, ctx, rng, count, tol_scale, families) -> list:
-    """Every family in `families` evaluated at each of `count` sampled points."""
+def _point_records(checks, pair, ctx, rng, count, tol_scale, seed) -> list:
+    """Every (name, residual) check in `checks` at each of `count` sampled points."""
     tol = 1e-18 * tol_scale
     records = []
     for i, pt in enumerate(_sample_points(pair, count, rng)):
-        for family in families:
-            name, residual, _ = _POINT_FAMILIES[family]
+        for name, residual in checks:
             records.append(CheckRecord.make(f"{name}, point {i}", residual(pair, pt, ctx), tol))
     return records
 
 
-def _check_torsion(pair, ctx, starts, seed, tol_scale):
-    """Torsion records over the multistart solution set; returns (records, solutions)."""
-    sols = _solve_all(pair, ctx, starts, seed)
-    rep = bloch.torsion_check(sols, ctx, tolerance=bloch.TORSION_TOLERANCE * tol_scale)
-    return rep.records, sols.solutions
+_WEDGE = ("wedge 2-form residual",
+          lambda pair, pt, ctx: verify.wedge_form_residual(pair, pt, ctx).residual)
+_DILOGSUM = ("|sum d D(f)| over S+",
+             lambda pair, pt, ctx: abs(verify.dilog_sum_over_Splus(pair, pt, ctx)))
 
 
-def _check_fiveterm(ctx, rng, count, tol_scale) -> list:
+def _torsion_records(pair, ctx, rng, count, tol_scale, seed):
+    """One torsion record per solution of a multistart search of `count` starts."""
+    sols = _solve_all(pair, ctx, count, seed)
+    return bloch.torsion_check(sols, ctx, tolerance=bloch.TORSION_TOLERANCE * tol_scale).records
+
+
+def _fiveterm_records(pair, ctx, rng, count, tol_scale, seed) -> list:
     # scales with the unit roundoff 2^-bits: 1e-30 at 128 bits
     tol = 1e-30 * 2.0 ** (128 - ctx.mantissa_bits) * tol_scale
     worst_five = worst_refl = worst_inv = mp.mpf(0)
@@ -276,29 +283,36 @@ def _check_fiveterm(ctx, rng, count, tol_scale) -> list:
     ]
 
 
+class Family(NamedTuple):
+    """A check family: `verify` runs one, `report` runs them all."""
+    count_flag: str  # the `verify` flag that sets the count
+    default: int  # the count when that flag is absent
+    needs_pair: bool
+    records: Callable  # (pair, ctx, rng, count, tol_scale, seed) -> records
+    meta: Callable = lambda pair, records: {}  # `verify` metadata beyond pair and count
+
+
+FAMILIES = {
+    "periodicity": Family("seeds", 20, True, _periodicity_records, lambda pair, recs: {"period": pair.period}),
+    "wedge": Family("points", 5, True, functools.partial(_point_records, (_WEDGE,))),
+    "dilogsum": Family("points", 10, True, functools.partial(_point_records, (_DILOGSUM,))),
+    "torsion": Family("starts", 2000, True, _torsion_records, lambda pair, recs: {"solutions": len(recs)}),
+    "fiveterm": Family("points", 1000, False, _fiveterm_records),
+}
+
+
 def _cmd_verify(args) -> VerificationReport:
-    ctx = _ctx(args)
-    rng = np.random.default_rng(args.seed)
-    t0 = time.perf_counter()
+    family = FAMILIES[args.what]
     pair = args.pair
-    if args.what != "fiveterm" and pair is None:
+    if family.needs_pair and pair is None:
         raise argparse.ArgumentTypeError(f"verify {args.what} requires --pair")
-    if args.what == "periodicity":
-        records = _check_periodicity(pair, ctx, rng, args.seeds, args.tol_scale)
-        meta = {"pair": pair.label, "period": pair.period, "seeds": args.seeds}
-    elif args.what == "torsion":
-        records, sols = _check_torsion(pair, ctx, args.starts, args.seed, args.tol_scale)
-        meta = {"pair": pair.label, "solutions": len(sols), "starts": args.starts}
-    elif args.what == "fiveterm":
-        count = args.points or 1000
-        records = _check_fiveterm(ctx, rng, count, args.tol_scale)
-        meta = {"points": count}
-    else:
-        count = args.points or _POINT_FAMILIES[args.what][2]
-        records = _check_points(pair, ctx, rng, count, args.tol_scale, (args.what,))
-        meta = {"pair": pair.label, "points": count}
-    return VerificationReport(f"verify {args.what}", meta, tuple(records), args.seed,
-                              args.precision_bits, time.perf_counter() - t0)
+    count = getattr(args, family.count_flag) or family.default
+    records = family.records(pair, _ctx(args), np.random.default_rng(args.seed), count,
+                             args.tol_scale, args.seed)
+    meta = {"pair": pair.label} if family.needs_pair else {}
+    meta[family.count_flag] = count
+    meta.update(family.meta(pair, records))
+    return VerificationReport(f"verify {args.what}", meta, tuple(records), args.seed, args.precision_bits)
 
 
 def _qseries_pair(a, b, c, residues, modulus, order):
@@ -308,7 +322,6 @@ def _qseries_pair(a, b, c, residues, modulus, order):
 
 
 def _cmd_qseries(args) -> VerificationReport:
-    t0 = time.perf_counter()
     if args.what == "rr":
         order = args.N or 200
         records = tuple(CheckRecord.make(f"{name}: {r.name}", r.residual, r.tolerance)
@@ -359,15 +372,13 @@ def _cmd_qseries(args) -> VerificationReport:
             rep = qseries.compare_series(series, product)
             records = rep.records
             meta.update(rep.metadata)
-    return VerificationReport(f"qseries {args.what}", meta, records, args.seed, 0,
-                              time.perf_counter() - t0)
+    return VerificationReport(f"qseries {args.what}", meta, records, args.seed, 0)
 
 
 def _cmd_report(args) -> VerificationReport:
     ctx = _ctx(args)
     rng = np.random.default_rng(args.seed)
     pair = args.pair
-    t0 = time.perf_counter()
     records = []
     meta = {"pair": pair.label, "matrix": nahm_matrix(pair.x, pair.xp).to_json_obj()}
 
@@ -378,14 +389,14 @@ def _cmd_report(args) -> VerificationReport:
     records.append(CheckRecord.make(f"central-charge probe vs {probe.rational}", probe.error,
                                     1e-20 * args.tol_scale))
 
-    torsion, sols = _check_torsion(pair, ctx, args.starts, args.seed, args.tol_scale)
-    meta["solutions_found"] = len(sols)
+    torsion = FAMILIES["torsion"].records(pair, ctx, rng, args.starts, args.tol_scale, args.seed)
+    meta["solutions_found"] = len(torsion)
     records += torsion
-    records += _check_periodicity(pair, ctx, rng, args.seeds, args.tol_scale)
-    records += _check_points(pair, ctx, rng, args.points, args.tol_scale, ("wedge", "dilogsum"))
-    records += _check_fiveterm(ctx, rng, 200, args.tol_scale)
-    return VerificationReport("report", meta, tuple(records), args.seed, args.precision_bits,
-                              time.perf_counter() - t0)
+    records += FAMILIES["periodicity"].records(pair, ctx, rng, args.seeds, args.tol_scale, args.seed)
+    # wedge and dilogsum at one shared draw of points
+    records += _point_records((_WEDGE, _DILOGSUM), pair, ctx, rng, args.points, args.tol_scale, args.seed)
+    records += FAMILIES["fiveterm"].records(pair, ctx, rng, 200, args.tol_scale, args.seed)
+    return VerificationReport("report", meta, tuple(records), args.seed, args.precision_bits)
 
 
 _COMMANDS = {
@@ -403,14 +414,13 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    t0 = time.perf_counter()
     try:
         report = _COMMANDS[args.command](args)
-    except argparse.ArgumentTypeError as exc:
+    except (argparse.ArgumentTypeError, AdetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AdetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, argparse.ArgumentTypeError) else 1
+    report.wall_time_s = time.perf_counter() - t0
     for line in report.summary_lines():
         print(line)
     if args.json:

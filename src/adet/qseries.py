@@ -183,9 +183,6 @@ def eta_like_product(residues, modulus: int, trunc: int, prefactor_exp=Fraction(
 
 def compare_series(lhs: PowerSeries, rhs: PowerSeries) -> VerificationReport:
     """Exact coefficientwise comparison up to the minimum truncation order."""
-    import time
-
-    t0 = time.perf_counter()
     n = min(lhs.trunc, rhs.trunc)
     mismatches = [k for k in range(n + 1) if lhs.coeffs[k] != rhs.coeffs[k]]
     pre_diff = abs(lhs.prefactor_exp - rhs.prefactor_exp)
@@ -205,7 +202,5 @@ def compare_series(lhs: PowerSeries, rhs: PowerSeries) -> VerificationReport:
         command="compare_series",
         metadata=meta,
         records=records,
-        seed=None,
         precision_bits=0,
-        wall_time_s=time.perf_counter() - t0,
     )

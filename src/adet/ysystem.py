@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import time
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -231,7 +230,6 @@ def iterate(pair: PairIndexing, y, u_max: int, ctx: PrecisionContext = DEFAULT_C
 
 def check_periodicity(traj: YTrajectory, ctx: PrecisionContext = DEFAULT_CONTEXT) -> VerificationReport:
     """Verify Y(u + 2(h+h')) = Y(u) over the stored window."""
-    t0 = time.perf_counter()
     pair = traj.pair
     period = pair.period
     if traj.u_max < period:
@@ -253,9 +251,7 @@ def check_periodicity(traj: YTrajectory, ctx: PrecisionContext = DEFAULT_CONTEXT
         metadata={"pair": pair.label, "period": period, "u_max": traj.u_max,
                   "worst_at": str(worst_at)},
         records=(rec,),
-        seed=None,
         precision_bits=traj.precision_bits,
-        wall_time_s=time.perf_counter() - t0,
     )
 
 

@@ -34,6 +34,11 @@ def report(line):
     print(line, flush=True)
 
 
+def family(name, label, ctx, rng, count, seed=0):
+    """The records of one row of the CLI's check-family table, at tol-scale 1."""
+    return cli.FAMILIES[name].records(pair(label) if label else None, ctx, rng, count, 1.0, seed)
+
+
 def gate(records, tolerance, what):
     """Assert every record passed at the pinned tolerance; the largest residual."""
     assert all(r.tolerance == tolerance for r in records), what
@@ -48,8 +53,8 @@ def test_criterion_1_torsion_over_all_solutions():
     worst = 0.0
     total = 0
     for label in ACCEPT_PAIRS:
-        records, sols = cli._check_torsion(pair(label), CTX128, 2000, 0, 1.0)
-        total += len(sols)
+        records = family("torsion", label, CTX128, None, 2000)
+        total += len(records)
         worst = max(worst, gate(records, 1e-18, label))
     elapsed = time.time() - t0
     report(f"ACCEPTANCE 1 (torsion criterion): PASS  "
@@ -79,7 +84,7 @@ def test_criterion_3_periodicity():
     rng = np.random.default_rng(0)
     worst = 0.0
     for label in PERIODICITY_PAIRS:
-        records = cli._check_periodicity(pair(label), CTX256, rng, 20, 1.0)
+        records = family("periodicity", label, CTX256, rng, 20)
         worst = max(worst, gate(records, 1e-25, label))
     elapsed = time.time() - t0
     report(f"ACCEPTANCE 3 (periodicity): PASS  max residual {worst:.3e} "
@@ -91,7 +96,7 @@ def test_criterion_4_wedge_and_multiplicity_control():
     rng = np.random.default_rng(1)
     worst = 0.0
     for label in PERIODICITY_PAIRS:  # every pair here has rank product <= 6
-        records = cli._check_points(pair(label), CTX128, rng, 5, 1.0, ("wedge",))
+        records = family("wedge", label, CTX128, rng, 5)
         worst = max(worst, gate(records, 1e-18, label))
     # negative control: one multiplicity d lowered from 2 to 1 for (T1,T1),
     # at the default b = 1/a that the records above use
@@ -109,14 +114,14 @@ def test_criterion_5_dilog_sum_vanishing():
     rng = np.random.default_rng(2)
     worst = 0.0
     for label in ACCEPT_PAIRS:
-        records = cli._check_points(pair(label), CTX128, rng, 10, 1.0, ("dilogsum",))
+        records = family("dilogsum", label, CTX128, rng, 10)
         worst = max(worst, gate(records, 1e-18, label))
     report(f"ACCEPTANCE 5 (dilog-sum vanishing): PASS  max |sum| = {worst:.3e}")
 
 
 def test_criterion_6_functional_equations():
     rng = np.random.default_rng(3)
-    five, refl, inv = cli._check_fiveterm(CTX128, rng, 1000, 1.0)
+    five, refl, inv = family("fiveterm", None, CTX128, rng, 1000)
     gate([five, refl, inv], 1e-30, "functional equations")
     report(f"ACCEPTANCE 6 (functional equations): PASS  five-term {five.residual:.3e}, "
            f"reflection {refl.residual:.3e}, inversion {inv.residual:.3e}")

@@ -318,7 +318,7 @@ def test_fiveterm_check_sees_the_series(monkeypatch):
     coeffs = list(bloch._series_coeffs(40, wp))
     coeffs[0] += 1 << (wp - 60)
     monkeypatch.setattr(bloch, "_SERIES_COEFFS", {wp: coeffs})
-    records = cli._check_fiveterm(ctx, np.random.default_rng(0), 50, 1.0)
+    records = cli.FAMILIES["fiveterm"].records(None, ctx, np.random.default_rng(0), 50, 1.0, 0)
     assert len(records) == 3
     assert not any(r.passed for r in records), [(r.name, r.residual) for r in records]
 

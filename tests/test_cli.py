@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import pytest
@@ -150,22 +152,36 @@ def test_report_solves_positive_once(tmp_path, monkeypatch, capsys):
         "positive solution residual", probe.solution.residual, ctx.tau_res)
 
 
-def test_report_records_match_verify(tmp_path, capsys):
-    # report and verify share one function per check family: same seed, same records
-    def records(argv):
-        path = tmp_path / "out.json"
-        assert run(["--seed", "7", "--json", str(path)] + argv) == 0
-        return json.loads(path.read_text())["records"]
+# report's counts, one per count flag of the check-family table
+REPORT_COUNTS = {"starts": 200, "points": 2, "seeds": 3}
 
-    report = records(["report", "--pair", "A1,T1", "--starts", "200", "--points", "2", "--seeds", "3"])
-    periodic = records(["verify", "periodicity", "--pair", "A1,T1", "--seeds", "3"])
-    assert [r for r in report if r["name"].startswith("periodicity")] == periodic
-    wedge = records(["verify", "wedge", "--pair", "A1,T1", "--points", "2"])
-    dilogsum = records(["verify", "dilogsum", "--pair", "A1,T1", "--points", "2"])
-    verify_names = [r["name"] for r in wedge + dilogsum]
-    report_names = [r["name"] for r in report if "point" in r["name"]]
-    assert sorted(report_names) == sorted(verify_names)
+
+@pytest.fixture(scope="module")
+def seed7_report(tmp_path_factory):
+    path = tmp_path_factory.mktemp("report") / "r.json"
+    argv = ["--seed", "7", "--json", str(path), "report", "--pair", "A1,T1"]
+    for flag, count in REPORT_COUNTS.items():
+        argv += [f"--{flag}", str(count)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(argv) == 0
+    return json.loads(path.read_text())["records"]
+
+
+@pytest.mark.parametrize("family", list(cli.FAMILIES))
+def test_report_records_match_verify(family, seed7_report, tmp_path, capsys):
+    # report and verify run the same row of the table at the same seed
+    flag = cli.FAMILIES[family].count_flag
+    path = tmp_path / "v.json"
+    assert run(["--seed", "7", "--json", str(path), "verify", family, "--pair", "A1,T1",
+                f"--{flag}", str(REPORT_COUNTS[flag])]) == 0
     capsys.readouterr()
+    verify = json.loads(path.read_text())["records"]
+    names = [r["name"] for r in verify]
+    shared = [r for r in seed7_report if r["name"] in names]
+    assert verify and [r["name"] for r in shared] == names
+    if family in ("periodicity", "torsion"):
+        # report runs them before its first draw from the RNG
+        assert shared == verify
 
 
 def test_reports_deterministic(tmp_path, capsys):
@@ -246,6 +262,9 @@ def test_precision_below_53_bits_exits_2(capsys):
     ("[[1e400]]", "Infinity"), (("[[2]]", "--b", "[1e400]"), "Infinity"),
     # an empty matrix was given, so the fault is its shape, not a missing flag
     ("[]", "r x r"),
+    # JSON null is not the flag left out: "requires --matrix", and B = 0 for --b
+    ("null", "argument --matrix: 'null' is JSON null"),
+    (("[[2]]", "--b", "null"), "argument --b: 'null' is JSON null"),
 ])
 def test_qseries_custom_bad_matrix_exits_2(matrix, fragment, capsys):
     argv = [matrix] if isinstance(matrix, str) else list(matrix)
@@ -294,6 +313,7 @@ def test_qseries_custom_half_product_exits_2(half, capsys):
     (["qseries", "custom", "--matrix", "[[2]]", "--residues", "1,x", "--modulus", "5"],
      "'1,x' is not a comma-separated list of integers"),
     (["solve", "--pair", "A1,T1", "--precision-bits", "abc"], "'abc' is not an integer"),
+    (["verify", "fiveterm", "--seed", "x"], "'x' is not an integer"),
 ])
 def test_unparsable_values_name_no_private_function(argv, fragment, capsys):
     # argparse's own message for a failed type call names the function: "invalid _tol_scale value"
@@ -318,3 +338,13 @@ def test_solve_all_above_rank_cap_exits_2(capsys):
 ])
 def test_nonpositive_counts_exit_2(argv, capsys):
     _assert_bad_input(argv, capsys, "must be a positive integer")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "fiveterm", "--points", "3"],
+    ["solve", "--all", "--pair", "A1,T1"],
+    ["report", "--pair", "A1,T1", "--starts", "200", "--points", "1", "--seeds", "1"],
+])
+def test_negative_seed_exits_2(argv, capsys):
+    # numpy's generators refuse a negative seed with a traceback
+    _assert_bad_input(argv + ["--seed", "-1"], capsys, "must be a nonnegative integer, got -1")
