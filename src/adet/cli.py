@@ -141,9 +141,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run one verification family")
     p.add_argument("what", choices=list(FAMILIES))
-    p.add_argument("--pair", type=_pair_arg, metavar="X,X'")
-    for flag in dict.fromkeys(f.count_flag for f in FAMILIES.values()):
-        p.add_argument(f"--{flag}", type=_positive_int, help=f"number of {flag} (default per family)")
+    for flag in _VERIFY_FLAGS:
+        readers = ", ".join(name for name, f in FAMILIES.items() if flag in f.flags)
+        if flag == "pair":
+            p.add_argument("--pair", type=_pair_arg, metavar="X,X'", help=f"read by {readers}")
+        else:
+            p.add_argument(f"--{flag}", type=_positive_int,
+                           help=f"number of {flag} (default per family; read by {readers})")
 
     p = sub.add_parser("qseries", help="sum-side vs product-side series identities")
     p.add_argument("what", choices=["rr", "ag", "custom"])
@@ -291,6 +295,11 @@ class Family(NamedTuple):
     records: Callable  # (pair, ctx, rng, count, tol_scale, seed) -> records
     meta: Callable = lambda pair, records: {}  # `verify` metadata beyond pair and count
 
+    @property
+    def flags(self) -> tuple:
+        """The `verify` flags the family reads besides the global ones."""
+        return ("pair", self.count_flag) if self.needs_pair else (self.count_flag,)
+
 
 FAMILIES = {
     "periodicity": Family("seeds", 20, True, _periodicity_records, lambda pair, recs: {"period": pair.period}),
@@ -301,9 +310,17 @@ FAMILIES = {
 }
 
 
+# every flag some family reads, in the order `verify --help` lists them
+_VERIFY_FLAGS = tuple(dict.fromkeys(flag for f in FAMILIES.values() for flag in f.flags))
+
+
 def _cmd_verify(args) -> VerificationReport:
     family = FAMILIES[args.what]
     pair = args.pair
+    for flag in _VERIFY_FLAGS:
+        if getattr(args, flag) is not None and flag not in family.flags:
+            reads = ", ".join(f"--{name}" for name in family.flags)
+            raise argparse.ArgumentTypeError(f"verify {args.what} does not read --{flag} (it reads {reads})")
     if family.needs_pair and pair is None:
         raise argparse.ArgumentTypeError(f"verify {args.what} requires --pair")
     count = getattr(args, family.count_flag) or family.default

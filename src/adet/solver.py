@@ -41,6 +41,7 @@ __all__ = [
 
 DEDUP_TOL = 1e-10
 _FLOAT_DEDUP = 1e-6
+_FLOAT_DEGENERATE = 1e-6  # a float y this close to 0 or -1 in a component is degenerate
 _DEGENERATE_MARGIN = 1e-8
 
 # Damped Newton: iteration caps, the step size that ends a run, and the
@@ -158,6 +159,12 @@ def _solve_rows(jac, rhs):
         return dy, ok
 
 
+def _near_degenerate(y):
+    """Whether a complex128 y (n,) or each row of ys (rows, n) has a component
+    within _FLOAT_DEGENERATE of 0 or -1."""
+    return np.min(np.minimum(np.abs(y), np.abs(1 + y)), axis=-1) < _FLOAT_DEGENERATE
+
+
 def _newton_batch(system, seeds):
     """Damped complex128 Newton from every row of seeds (starts x n) at once.
 
@@ -167,8 +174,10 @@ def _newton_batch(system, seeds):
     drops, and the run ends when no halving drops it, when |y| > 1e8 (no
     root), when the step is below _FLOAT_MIN_STEP or at _FLOAT_MAX_ITER.
     A row whose run ends is a root if its residual norm is below 1e-8.
-    The batch is evaluated by numpy's array kernels (`_on_rows`), so a row
-    rounds as it would in a one-row batch.
+    A row whose accepted y is `_near_degenerate` ends there as a degenerate
+    root, whatever its residual: `solve_all` discards such a root by the
+    same test.  The batch is evaluated by numpy's array kernels
+    (`_on_rows`), so a row rounds as it would in a one-row batch.
     """
     starts, n = seeds.shape
     y = np.array(seeds, dtype=complex)
@@ -176,6 +185,7 @@ def _newton_batch(system, seeds):
     rnorm = np.max(np.abs(r), axis=1)
     live = np.all(np.isfinite(r), axis=1)  # rows still iterating
     ended = np.zeros(starts, dtype=bool)  # rows whose run ended with a final y
+    degenerate = np.zeros(starts, dtype=bool)  # rows that ended near 0 or -1
     for _ in range(_FLOAT_MAX_ITER):
         rows = np.flatnonzero(live)
         if rows.size == 0:
@@ -208,11 +218,13 @@ def _newton_batch(system, seeds):
         ended[stalled] = True
         rows, lam, dy = rows[accepted], lam[accepted], dy[accepted]
         far = np.max(np.abs(y[rows]), axis=1) > 1e8
-        small = ~far & (lam * np.max(np.abs(dy), axis=1) < _FLOAT_MIN_STEP)
-        live[rows[far | small]] = False
+        near = ~far & _near_degenerate(y[rows])
+        small = ~far & ~near & (lam * np.max(np.abs(dy), axis=1) < _FLOAT_MIN_STEP)
+        live[rows[far | near | small]] = False
         ended[rows[small]] = True
+        degenerate[rows[near]] = True
     ended |= live
-    return [y[i] if ended[i] and rnorm[i] < 1e-8 else None for i in range(starts)]
+    return [y[i] if degenerate[i] or (ended[i] and rnorm[i] < 1e-8) else None for i in range(starts)]
 
 
 def _newton_mp(system, y0, ctx):
@@ -508,7 +520,7 @@ def solve_all(pair: PairIndexing, budget: SearchBudget | None = None,
         if root is None:
             continue
         stats["converged_starts"] += 1
-        if np.min(np.abs(root)) < 1e-6 or np.min(np.abs(1 + root)) < 1e-6:
+        if _near_degenerate(root):
             stats["degenerate_hits"] += 1
             continue
         for rep in reps:

@@ -94,6 +94,38 @@ def test_verify_requires_pair(capsys):
     assert "requires --pair" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "torsion", "--pair", "A1,T1", "--points", "3"], "--points"),
+    (["verify", "torsion", "--pair", "A1,T1", "--seeds", "1"], "--seeds"),
+    (["verify", "periodicity", "--pair", "A1,T1", "--starts", "9"], "--starts"),
+    (["verify", "periodicity", "--pair", "A1,T1", "--points", "4"], "--points"),
+    (["verify", "wedge", "--pair", "A1,T1", "--seeds", "2"], "--seeds"),
+    (["verify", "dilogsum", "--pair", "A1,T1", "--starts", "300"], "--starts"),
+    (["verify", "fiveterm", "--seeds", "5"], "--seeds"),
+    (["verify", "fiveterm", "--pair", "E8,E8"], "--pair"),
+])
+def test_verify_rejects_flags_the_family_does_not_read(argv, flag, capsys):
+    # each ran and exited 0, ignoring the flag (fiveterm ran no check on E8,E8)
+    _assert_bad_input(argv, capsys, f"does not read {flag}")
+
+
+@pytest.mark.parametrize("family", list(cli.FAMILIES))
+def test_verify_accepts_the_flags_its_row_lists(family, monkeypatch, capsys):
+    # a row's flags reach its records function; the records are stubbed out
+    seen = []
+    row = cli.FAMILIES[family]
+    monkeypatch.setitem(cli.FAMILIES, family, row._replace(
+        records=lambda pair, ctx, rng, count, tol_scale, seed: seen.append((pair, count)) or
+        [CheckRecord.make("stub", 0, 1)]))
+    argv = ["verify", family]
+    for flag in row.flags:
+        argv += ["--pair", "A1,T1"] if flag == "pair" else [f"--{flag}", "3"]
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert [(pair and pair.label, count) for pair, count in seen] == [
+        ("A1,T1" if row.needs_pair else None, 3)]
+
+
 def test_qseries_commands(capsys):
     assert run(["qseries", "rr", "--N", "80"]) == 0
     assert run(["qseries", "ag", "--N", "50"]) == 0
@@ -170,9 +202,11 @@ def seed7_report(tmp_path_factory):
 @pytest.mark.parametrize("family", list(cli.FAMILIES))
 def test_report_records_match_verify(family, seed7_report, tmp_path, capsys):
     # report and verify run the same row of the table at the same seed
-    flag = cli.FAMILIES[family].count_flag
+    row = cli.FAMILIES[family]
+    flag = row.count_flag
     path = tmp_path / "v.json"
-    assert run(["--seed", "7", "--json", str(path), "verify", family, "--pair", "A1,T1",
+    pair_flag = ["--pair", "A1,T1"] if row.needs_pair else []
+    assert run(["--seed", "7", "--json", str(path), "verify", family, *pair_flag,
                 f"--{flag}", str(REPORT_COUNTS[flag])]) == 0
     capsys.readouterr()
     verify = json.loads(path.read_text())["records"]

@@ -221,7 +221,8 @@ def test_row_evaluator_matches_mp(label, ctx128):
 
 def _newton_one_start(system, y0):
     """Reference: the per-start float Newton that the batch replaced, with each
-    start evaluated as a one-row batch."""
+    start evaluated as a one-row batch, and the batch's stop at a y near the
+    degenerate locus (returned as a root whatever its residual)."""
     def residual(y):
         return solver._on_rows(system.residual, y[None])[0]
 
@@ -249,6 +250,8 @@ def _newton_one_start(system, y0):
         y, r, rnorm = cand, rc, np.max(np.abs(rc))
         if np.max(np.abs(y)) > 1e8:
             return None
+        if min(np.min(np.abs(y)), np.min(np.abs(1 + y))) < solver._FLOAT_DEGENERATE:
+            return y
         if lam * np.max(np.abs(dy)) < solver._FLOAT_MIN_STEP:
             break
     return y if rnorm < 1e-8 else None

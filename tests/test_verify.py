@@ -13,7 +13,7 @@ from adet import (
 )
 from adet.errors import DegeneratePoint
 from adet.precision import to_mpc
-from adet.verify import _tangent_grid
+from adet.verify import _probe_directions, _resolve_d, _tangent_grid
 
 from conftest import ACCEPT_PAIRS, pair, sample_points
 
@@ -21,12 +21,42 @@ WEDGE_TOL = 1e-18
 CONTROL_FLOOR = 1e-3
 
 
+def identity(n):
+    """The directions e_1, ..., e_n, under which the tangent grid carries the full gradient."""
+    return [[int(q == k) for q in range(n)] for k in range(n)]
+
+
+def full_pairing(pair, a, ctx, *, point_b=None, d_override=None):
+    """Oracle for `wedge_form_residual`: the Frobenius norm of the whole n x n
+    pairing M = sum_{S+} d * (x(b) - x(a)) * G(a) G(b)^T, from the tangent
+    grid under the identity directions."""
+    n = pair.n
+    with ctx.workprec(32):
+        ta = _tangent_grid(pair, a, pair.period - 1, ctx, identity(n))
+        b = [1 / to_mpc(v) for v in a] if point_b is None else point_b
+        tb = _tangent_grid(pair, b, pair.period - 1, ctx, identity(n))
+        m = [[mp.mpc(0)] * n for _ in range(n)]
+        for (k, u) in pair.S_plus():
+            _, xa, ga = ta[k, u]
+            _, xb, gb = tb[k, u]
+            c = _resolve_d(pair, d_override, k, u) * (xb - xa)
+            for p in range(n):
+                cp = c * ga[p]
+                m[p] = [e + cp * g for e, g in zip(m[p], gb)]
+        return mp.sqrt(mp.fsum(abs(e) ** 2 for row in m for e in row))
+
+
+def both(pair, a, ctx, **kwargs):
+    """(probe, oracle) residuals of the wedge pairing at a."""
+    return wedge_form_residual(pair, a, ctx, **kwargs).residual, full_pairing(pair, a, ctx, **kwargs)
+
+
 def test_jet_values_match_iterate(ctx128):
     # the tangent grid's values (the 0-th order of its 1-jets) are iterate's
     p = pair("A1,T1")
     traj = iterate(p, [1.37], p.period - 1, ctx128)
     with ctx128.workprec(32):
-        grid = _tangent_grid(p, [1.37], p.period - 1, ctx128)
+        grid = _tangent_grid(p, [1.37], p.period - 1, ctx128, identity(1))
         worst = max(abs(grid[(0, u)][0] - traj.value(0, u)) for u in range(p.period))
     assert worst < 1e-40
 
@@ -36,7 +66,7 @@ def test_jet_gradients_match_hand_formulas(ctx128):
     # dY/dy = Y * G from the tangent recurrence
     with ctx128.workprec(32):
         y = mp.mpf("1.37")
-        grid = _tangent_grid(pair("A1,T1"), [y], 3, ctx128)
+        grid = _tangent_grid(pair("A1,T1"), [y], 3, ctx128, identity(1))
         expect = {
             0: mp.mpf(1),
             1: y * (y + 2) / (1 + y) ** 2,
@@ -81,7 +111,7 @@ def test_jet_gradients_match_finite_differences(ctx128, rng):
             pt = [float(v) for v in rng.uniform(0.6, 1.8, p.n)]
             ku = [(k, u) for (k, u) in p.S_plus()[2:4]]
             with ctx128.workprec(32):
-                grid = _tangent_grid(p, pt, p.period - 1, ctx128)
+                grid = _tangent_grid(p, pt, p.period - 1, ctx128, identity(p.n))
             for (k, u) in ku:
                 gf, hf = log_gradients_fd(p, pt, k, u, ctx128)
                 with mp.workprec(300):
@@ -90,13 +120,29 @@ def test_jet_gradients_match_finite_differences(ctx128, rng):
                     assert max(abs(x * a - b) for a, b in zip(g, hf)) < 1e-30
 
 
+def test_tangent_grid_directions_are_linear(ctx128, rng):
+    # a direction's scalar is G.v: the identity directions' G, dotted with v
+    p = pair("A2,T1")
+    pt = sample_points(p, 1, rng)[0]
+    vs = [list(rng.standard_normal(p.n)) for _ in range(2)]
+    with ctx128.workprec(32):
+        full = _tangent_grid(p, pt, p.period - 1, ctx128, identity(p.n))
+        probed = _tangent_grid(p, pt, p.period - 1, ctx128, vs)
+        assert full.keys() == probed.keys()
+        for key, (yv, x, g) in full.items():
+            assert probed[key][:2] == (yv, x)
+            for v, gv in zip(vs, probed[key][2]):
+                assert abs(gv - mp.fsum(a * b for a, b in zip(g, v))) < 1e-35 * (1 + abs(gv))
+
+
 @pytest.mark.parametrize("label", ACCEPT_PAIRS + ["D4,A1", "E6,A1"])
 def test_wedge_single_point_vanishes(label, ctx128, rng):
-    # one sampled point a, paired with the default b = 1/a
+    # one sampled point a, paired with the default b = 1/a: the probe and the
+    # full pairing both vanish
     p = pair(label)
     for pt in sample_points(p, 5, rng):
-        w = wedge_form_residual(p, pt, ctx128)
-        assert w.residual < WEDGE_TOL, (label, mp.nstr(w.residual, 5))
+        probe, oracle = both(p, pt, ctx128)
+        assert probe < WEDGE_TOL and oracle < WEDGE_TOL, (label, mp.nstr(probe, 5), mp.nstr(oracle, 5))
 
 
 def test_wedge_pairing_exactly_zero_at_b_equal_a(ctx128, rng):
@@ -106,6 +152,8 @@ def test_wedge_pairing_exactly_zero_at_b_equal_a(ctx128, rng):
         p = pair(label)
         pt = sample_points(p, 1, rng)[0]
         assert wedge_form_residual(p, pt, ctx128, point_b=pt).residual == 0, label
+        bumped = perturbed_pair(p, "xp", 0, 0) if label == "A1,T1" else perturbed_pair(p, "x", 0, 1)
+        assert wedge_form_residual(bumped, pt, ctx128, point_b=pt).residual == 0, label
 
 
 def test_wedge_two_point_vanishes(ctx128, rng):
@@ -118,14 +166,46 @@ def test_wedge_two_point_vanishes(ctx128, rng):
 
 
 def test_wedge_multiplicity_negative_control(ctx128):
-    # lowering a single multiplicity d from 2 to 1 must break the vanishing
+    # lowering a single multiplicity d from 2 to 1 must break the vanishing,
+    # under the probe and the full pairing alike
     p = pair("T1,T1")
     assert p.d == 2
     first = p.S_plus()[0]
-    ok = wedge_form_residual(p, [1.3], ctx128, point_b=[0.7])
-    bad = wedge_form_residual(p, [1.3], ctx128, point_b=[0.7], d_override={first: 1})
-    assert ok.residual < WEDGE_TOL
-    assert bad.residual > CONTROL_FLOOR
+    assert max(both(p, [1.3], ctx128, point_b=[0.7])) < WEDGE_TOL
+    bad = both(p, [1.3], ctx128, point_b=[0.7], d_override={first: 1})
+    assert min(bad) > CONTROL_FLOOR, [mp.nstr(v, 5) for v in bad]
+
+
+def test_wedge_multiplicity_negative_control_rank_36(ctx128, rng):
+    # E6,E6 (d = 1) with one multiplicity lowered to 0, at the default b = 1/a.
+    # The probe reads a change of rank one at about |M| / n: at u = 0, where
+    # G = e_k/y_k, the term is |x(1/a_k) - x(a_k)| * |v_k w_k| / (|v| |w|), so
+    # the lowered element sits at an interior level, u = 5
+    p = pair("E6,E6")
+    assert p.d == 1
+    element = next((k, u) for k, u in p.S_plus() if u == 5)
+    pt = sample_points(p, 1, rng)[0]
+    assert wedge_form_residual(p, pt, ctx128).residual < WEDGE_TOL
+    bad = wedge_form_residual(p, pt, ctx128, d_override={element: 0}).residual
+    assert bad > CONTROL_FLOOR, mp.nstr(bad, 5)
+
+
+def test_wedge_probe_is_deterministic(ctx128, rng):
+    # the probe directions are fixed per n, drawn from no caller's RNG: two
+    # calls at one point give the same bits, and the RNG state is untouched
+    p = pair("D4,A1")
+    pt = sample_points(p, 1, rng)[0]
+    _probe_directions.cache_clear()
+    state = rng.bit_generator.state
+    first = wedge_form_residual(p, pt, ctx128).residual
+    _probe_directions.cache_clear()
+    second = wedge_form_residual(p, pt, ctx128).residual
+    assert first._mpf_ == second._mpf_
+    assert rng.bit_generator.state == state
+    bad = perturbed_pair(p, "x", 0, 1)
+    a, b = (wedge_form_residual(bad, pt, ctx128).residual for _ in range(2))
+    assert a._mpf_ == b._mpf_ and a > CONTROL_FLOOR
+    assert [len(_probe_directions(n)) for n in (1, 2, 36)] == [1, 2, 2]
 
 
 # one bump per pair, each joining two vertices of different colours
@@ -136,12 +216,14 @@ EXPONENT_BUMPS = [("A2,A1", "x", 0, 1), ("A3,A1", "x", 0, 1), ("E6,A1", "x", 0, 
 
 @pytest.mark.parametrize("label,side,i,j", EXPONENT_BUMPS)
 def test_wedge_exponent_negative_control_default_b(label, side, i, j, ctx128, rng):
-    # the residual the CLI records (b = 1/a) must see a bumped exponent
+    # the residual the CLI records (b = 1/a) must see a bumped exponent, under
+    # the probe and the full pairing; the probe is at most the Frobenius norm
     p = pair(label)
     pt = sample_points(p, 1, rng)[0]
     assert wedge_form_residual(p, pt, ctx128).residual < WEDGE_TOL
-    bad = wedge_form_residual(perturbed_pair(p, side, i, j), pt, ctx128).residual
-    assert bad > CONTROL_FLOOR, (label, mp.nstr(bad, 5))
+    probe, oracle = both(perturbed_pair(p, side, i, j), pt, ctx128)
+    assert min(probe, oracle) > CONTROL_FLOOR, (label, mp.nstr(probe, 5), mp.nstr(oracle, 5))
+    assert probe <= oracle * (1 + 1e-30)
 
 
 def test_wedge_exponent_negative_control(ctx128, rng):
