@@ -7,23 +7,20 @@ G = grad log Y the pairing is the n x n matrix
 
     M = sum_{S+} d * (x(b) - x(a)) * G(a) G(b)^T,
 
-which must vanish.  It is never formed: `wedge_form_residual` reads it
-through random bilinear probes v^T M w (Freivalds 1977; Schwartz 1980).  For
-fixed v and w this is a polynomial in their entries, nonzero for almost
-every choice whenever M is, and each side needs only the directional
-gradients G(a).v and G(b).w, one scalar per P+ value.  The residual is the
-largest of min(n, 2) probes, each normalised by |v| |w|, so it is at most
-the Frobenius norm of M; the directions come from a fixed-seed generator of
-this module, so a call draws nothing from the caller's RNG and repeats bit
-for bit.  By default b = 1/a componentwise.  At b = a every term is the
-wedge of two parallel vectors and M is exactly 0 whatever the recurrence, so
-a single point carries no information.  Negative controls (a bumped
-recurrence exponent, or a single multiplicity d lowered by one) must push
-the residual above 1e-3.
+which must vanish.  It is read through bilinear probes v^T M w, never formed
+(Freivalds 1977; Schwartz 1980): v^T M w is a polynomial in the entries of v
+and w, nonzero for almost every choice when M is, and needs only the
+directional gradients G(a).v and G(b).w.  The probe directions are fixed per
+n by a seeded generator of this module, so a call repeats bit for bit and
+draws nothing from the caller's RNG.  By default b = 1/a componentwise.  At
+b = a every term is the wedge of two parallel vectors and M is exactly 0
+whatever the recurrence, so a single point carries no information.  Negative
+controls (a bumped recurrence exponent, or a single multiplicity d lowered by
+one) must push the residual above 1e-3.
 
 The directional gradients come from the tangent (linearized) Y-system on the
 same P+ levels as the values (`_tangent_grid`); the tests cross-check it
-against central finite differences of the recurrence, and the probe against
+against central finite differences of the recurrence, and the probes against
 the full pairing that the identity directions give.
 """
 from __future__ import annotations

@@ -236,10 +236,10 @@ def _as_mpc(v) -> tuple:
 def check_periodicity(traj: YTrajectory, ctx: PrecisionContext = DEFAULT_CONTEXT) -> VerificationReport:
     """Verify Y(u + 2(h+h')) = Y(u) over the stored window.
 
-    The differences run on raw libmp mpc values (`_as_mpc`) through the
-    calls mp's operators make, so the residual is bit-identical to |a - b|
-    on the mp numbers: for an mpf pair, the parts (x, 0) give the same
-    difference and |.| as the mpf calls do.
+    The differences run on the raw libmp values through the calls mp's
+    operators make, so the residual is bit-identical to |a - b| on the mp
+    numbers.  A grid with an mpc value compares as mpc, with each mpf x
+    read as (x, 0), which gives the same difference and |.| as the mpf calls.
     """
     pair = traj.pair
     period = pair.period
@@ -247,14 +247,18 @@ def check_periodicity(traj: YTrajectory, ctx: PrecisionContext = DEFAULT_CONTEXT
         raise WindowTooShort(
             f"window u_max={traj.u_max} does not cover one period {period}"
         )
+    values = traj.values
+    if set(map(type, values.values())) == {mp.mpf}:
+        raw, sub, abs_ = operator.attrgetter("_mpf_"), libmp.mpf_sub, libmp.mpf_abs
+    else:
+        raw, sub, abs_ = _as_mpc, libmp.mpc_sub, libmp.mpc_abs
     worst = libmp.fzero
     worst_at = None
     with mp.workprec(traj.precision_bits + GUARD_BITS):
         prec, rnd = mp.mp.prec, libmp.round_nearest
-        rows = [[_as_mpc(traj.values[k, u]) for k in range(pair.n)] for u in range(traj.u_max + 1)]
         for u in range(0, traj.u_max - period + 1):
-            for k, (a, b) in enumerate(zip(rows[u + period], rows[u])):
-                diff = libmp.mpc_abs(libmp.mpc_sub(a, b, prec, rnd), prec, rnd)
+            for k in range(pair.n):
+                diff = abs_(sub(raw(values[k, u + period]), raw(values[k, u]), prec, rnd), prec, rnd)
                 if libmp.mpf_gt(diff, worst):
                     worst = diff
                     worst_at = (pair.indices[k], u)
