@@ -2,9 +2,9 @@
 
 As all seeds shrink to eps, each Y_i(u) on the S+ window behaves like a pure
 monomial eps^d.  The degree d is an exact integer: the tropical Y-system runs
-the recurrence's plan `PairIndexing.factors` with 1 + Y -> min(0, deg Y) and
-1 + 1/Y -> -max(0, deg Y), from deg Y(0) = 1 and deg Y(-1) = -1, and its sign
-is the monomial sign.  Counting negative monomials per index window
+the same step as the numeric recurrence over integer degrees, with
+1 + Y -> min(0, deg Y) and 1 + 1/Y -> min(0, -deg Y), from deg Y(0) = 1 and
+deg Y(-1) = -1, and its sign is the monomial sign.  Counting negative monomials per index window
 reproduces the central-charge rational sum_i L(x_i)/L(1) evaluated at the
 all-positive solution (L is the Rogers dilogarithm), tying the combinatorial
 structure to the dilogarithm identity.

@@ -17,7 +17,7 @@ import mpmath as mp
 import numpy as np
 
 from . import bloch, qseries, solver, verify, ysystem
-from .dynkin import nahm_matrix, pair_indexing, parse_diagram
+from .dynkin import _ldl, nahm_matrix, pair_indexing, parse_diagram
 from .errors import AdetError, NonIntegralExponent
 from .precision import PrecisionContext
 from .report import CheckRecord, VerificationReport
@@ -196,8 +196,8 @@ def _sample_points(pair, count, rng, noise=0.1):
 def _definite_record(a) -> CheckRecord:
     """Residual 0 if every exact LDL^t pivot of A's symmetric part is positive, else 1."""
     try:
-        qseries._ldl([[(Fraction(u) + Fraction(v)) / 2 for u, v in zip(row, col)]
-                      for row, col in zip(a, zip(*a))])
+        _ldl([[(Fraction(u) + Fraction(v)) / 2 for u, v in zip(row, col)]
+              for row, col in zip(a, zip(*a))])
     except ValueError:
         return CheckRecord.make("positive definite (exact LDL^t pivots)", 1, 1)
     return CheckRecord.make("positive definite (exact LDL^t pivots)", 0, 1)
@@ -376,7 +376,6 @@ def _cmd_qseries(args) -> VerificationReport:
         # for a float reads as inf, which Fraction rejects
         except (TypeError, ValueError, OverflowError) as exc:
             raise argparse.ArgumentTypeError(f"--matrix {json.dumps(a)}: {exc}") from exc
-        print(series.head(12))
         meta = {"order": order, "series": series.to_json_obj()}
         records = (_definite_record(a),)
         if args.residues is not None:
@@ -384,11 +383,12 @@ def _cmd_qseries(args) -> VerificationReport:
                 product = qseries.eta_like_product(args.residues, args.modulus, order,
                                                    prefactor_exp=args.c)
             except ValueError as exc:
-                raise argparse.ArgumentTypeError(
-                    f"--residues {','.join(map(str, args.residues))}: {exc}") from exc
+                raise argparse.ArgumentTypeError(f"--residues {','.join(map(str, args.residues))} "
+                                                 f"--modulus {args.modulus}: {exc}") from exc
             rep = qseries.compare_series(series, product)
             records = rep.records
             meta.update(rep.metadata)
+        print(series.head(12))  # once every flag has passed its checks
     return VerificationReport(f"qseries {args.what}", meta, records, args.seed, 0)
 
 

@@ -175,6 +175,23 @@ class RationalMatrix:
         }
 
 
+def _ldl(sym: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Exact LDL^t of a symmetric rational matrix: unit lower-triangular L and
+    the pivots d.  By Sylvester's criterion the matrix is positive definite iff
+    every pivot is positive; the first pivot <= 0 raises ValueError."""
+    r = len(sym)
+    low = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
+    piv: list[Fraction] = []
+    for j in range(r):
+        d = sym[j][j] - sum(low[j][k] ** 2 * piv[k] for k in range(j))
+        if d <= 0:
+            raise ValueError("matrix is not positive definite")
+        piv.append(d)
+        for i in range(j + 1, r):
+            low[i][j] = (sym[i][j] - sum(low[i][k] * low[j][k] * piv[k] for k in range(j))) / d
+    return low, piv
+
+
 def adjacency_matrix(d: DynkinDiagram) -> RationalMatrix:
     """Adjacency matrix I(X) = 2*id - C(X); the tadpole loop adds a diagonal 1."""
     n = d.rank
@@ -240,19 +257,21 @@ def bipartition(d: DynkinDiagram) -> tuple[frozenset, frozenset]:
 def nahm_matrix(x: DynkinDiagram, xp: DynkinDiagram) -> RationalMatrix:
     """Exact Kronecker matrix C(X) (x) C(X')^{-1}, indexed row-major by (i, i').
 
-    The result is checked to be symmetric exactly and positive definite
-    numerically (smallest eigenvalue > 1e-12); a failure signals an internal
-    wiring bug, not a user error.
+    The result is checked to be symmetric exactly, and positive definite
+    exactly through the LDL^t pivots of C(X) and C(X'): a Kronecker product
+    of positive-definite matrices is positive definite.  A failure signals
+    an internal wiring bug, not a user error.
     """
-    a = cartan_matrix(x).kron(cartan_matrix(xp).inverse())
+    cx, cxp = cartan_matrix(x), cartan_matrix(xp)
+    a = cx.kron(cxp.inverse())
     if not a.is_symmetric():
         raise AdetError(f"Kronecker matrix for ({x},{xp}) is not symmetric: indexing bug")
-    eigs = np.linalg.eigvalsh(a.to_float())
-    if eigs.min() <= 1e-12:
-        raise AdetError(
-            f"Kronecker matrix for ({x},{xp}) failed the positive-definiteness check "
-            f"(min eigenvalue {eigs.min():.3e})"
-        )
+    for d, c in ((x, cx), (xp, cxp)):
+        try:
+            _ldl(c.to_nested())
+        except ValueError:
+            raise AdetError(f"Kronecker matrix for ({x},{xp}) failed the positive-definiteness "
+                            f"check: the Cartan matrix of {d} is not positive definite") from None
     return a
 
 

@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dynkin import RationalMatrix
+from .dynkin import RationalMatrix, _ldl
 from .errors import NonIntegralExponent
 from .report import CheckRecord, VerificationReport
 
@@ -78,23 +78,6 @@ def _as_fraction_matrix(a) -> list[list[Fraction]]:
     if isinstance(a, RationalMatrix):
         return a.to_nested()
     return [[Fraction(v) for v in row] for row in a]
-
-
-def _ldl(sym: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Exact LDL^t of a symmetric rational matrix: unit lower-triangular L and
-    the pivots d.  By Sylvester's criterion the matrix is positive definite iff
-    every pivot is positive; the first pivot <= 0 raises ValueError."""
-    r = len(sym)
-    low = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
-    piv: list[Fraction] = []
-    for j in range(r):
-        d = sym[j][j] - sum(low[j][k] ** 2 * piv[k] for k in range(j))
-        if d <= 0:
-            raise ValueError("A must be positive definite")
-        piv.append(d)
-        for i in range(j + 1, r):
-            low[i][j] = (sym[i][j] - sum(low[i][k] * low[j][k] * piv[k] for k in range(j))) / d
-    return low, piv
 
 
 def f_abc(a, b, c, trunc: int) -> PowerSeries:
@@ -171,6 +154,8 @@ def f_abc(a, b, c, trunc: int) -> PowerSeries:
 
 def eta_like_product(residues, modulus: int, trunc: int, prefactor_exp=Fraction(0)) -> PowerSeries:
     """prod_{n > 0, n mod m in residues} (1 - q^n)^{-1}, exactly, to order trunc."""
+    if modulus < 2:
+        raise ValueError(f"modulus must be at least 2, got {modulus}")
     allowed = set(int(v) for v in residues)
     if not allowed.issubset(set(range(1, modulus))):
         raise ValueError(f"residues must lie in 1..{modulus - 1}")

@@ -26,7 +26,7 @@ from mpmath import libmp
 from .dynkin import PairIndexing, cartan_matrix, nahm_matrix
 from .errors import NoConvergence, PoleInput
 from .precision import DEFAULT_CONTEXT, PrecisionContext, to_mpc
-from .ysystem import _table, constant_residual
+from .ysystem import _next_level, _table, constant_residual
 
 __all__ = [
     "y_to_x",
@@ -278,9 +278,9 @@ def _newton_mp(system, y0, ctx):
 class Solution:
     """One solution of the Nahm equation / constant Y-system.
 
-    x and y are paired by y = x/(1-x); residual is the cleared constant
-    Y-system residual; multiplicity_hint counts the multistart basins that
-    converged here; branch records the Eq-style power-consistency diagnostics.
+    x and y are paired by y = x/(1-x); residual is the constant Y-system
+    residual `constant_residual`; multiplicity_hint counts the multistart basins
+    that converged here; branch records the Eq-style power-consistency diagnostics.
     """
 
     x: tuple
@@ -415,30 +415,26 @@ def _is_degenerate_vec(y) -> bool:
 def _positive_fixed_point(pair: PairIndexing):
     """Multiplicative iteration y <- sqrt(rhs(y)) from the all-ones vector.
 
-    rhs is the right-hand side of the constant Y-system; the map preserves
-    the positive cone and homes in on the all-positive solution, leaving the
-    quadratic finish to Newton.  It runs on the Y-system step's raw mpf table
-    (`ysystem._table`) in the order of mp's operators: the start is bit-identical.
+    rhs is the right-hand side of the constant Y-system, one Y-system step
+    `ysystem._next_level` from Y(-1) = 1 (dividing by it is exact) and
+    Y(0) = y, on the step's raw mpf table; the map preserves the positive
+    cone and homes in on the all-positive solution, leaving the quadratic
+    finish to Newton.
     """
     ar, _, wrap = _table([mp.mpf(1)], 0)
     prec, rnd, stop = mp.mp.prec, libmp.round_nearest, mp.mpf("1e-12")._mpf_
-    y = [libmp.fone] * pair.n
+    ks = range(pair.n)
+    ones = dict.fromkeys(ks, libmp.fone)
+    y = ones
     for _ in range(_FIXED_POINT_ITERS):
-        new = []
-        for ups, downs in pair.factors:
-            num = libmp.fone
-            for j, m in ups:
-                num = ar.mul(num, ar.pow(ar.one_plus(y[j]), m))
-            for j, m in downs:
-                num = ar.div(num, ar.pow(ar.one_plus_inv(y[j]), m))
-            new.append(libmp.mpf_sqrt(num, prec, rnd))
+        new = {k: libmp.mpf_sqrt(v, prec, rnd) for k, v in _next_level(pair, ones, y, ks, ar, 1).items()}
         # the largest drift |a - b| / b is below the stop iff every one is
-        done = all(libmp.mpf_lt(ar.div(libmp.mpf_abs(libmp.mpf_sub(a, b, prec, rnd)), b), stop)
-                   for a, b in zip(new, y))
+        done = all(libmp.mpf_lt(ar.div(libmp.mpf_abs(libmp.mpf_sub(new[k], y[k], prec, rnd)), y[k]), stop)
+                   for k in ks)
         y = new
         if done:
             break
-    return [wrap(v) for v in y]
+    return [wrap(v) for v in y.values()]
 
 
 def _solution(pair, y, residual, count, info, ctx) -> Solution:

@@ -8,8 +8,9 @@ The recurrence, in adjacency form with tadpole loops included:
 
 Which factors, with which exponents, make up the right-hand side for each
 index is read from `PairIndexing.factors`, the one place the recurrence is
-encoded; the constant Y-system (`constant_residual`), the tropical degrees
-behind `monomial_sign` and the Nahm solver read the same plan.
+encoded.  One step, `_next_level`, evaluates it over an arithmetic table for
+trajectories, tropical degrees (`_TROPICAL`), the constant Y-system
+(`constant_residual`) and the Nahm solver's positive start.
 
 Seeding follows the canonical rule Y(0) = y and Y(-1) = 1/y componentwise
 (`_seeds`), and one level loop (`_levels`) runs the recurrence from there.
@@ -272,24 +273,27 @@ def check_periodicity(traj: YTrajectory, ctx: PrecisionContext = DEFAULT_CONTEXT
     )
 
 
+# The tropical semifield on integer degrees: a factor 1 + Y has degree
+# min(0, deg Y) and 1 + 1/Y has min(0, -deg Y); products add degrees,
+# quotients subtract, powers multiply, and no degree is degenerate.
+_TROPICAL = _Arithmetic(lambda d: min(0, d), lambda d: min(0, -d), operator.add, operator.sub,
+                        operator.neg, operator.mul, lambda d: False)
+
+
 @functools.cache
 def _tropical_table(pair: PairIndexing) -> tuple:
     """Exponents d_k of the leading monomials eps**d_k of Y(u) at all seeds eps,
     one tuple per level 0 <= u < period, in one pass; memoised per pair.
 
-    The tropical Y-system on the plan `pair.factors`: a factor 1 + Y has
-    degree min(0, deg Y), a factor 1 + 1/Y has degree -max(0, deg Y), and
-    the recurrence starts from deg Y(0) = 1, deg Y(-1) = -1.
+    The step `_next_level` on the tropical table `_TROPICAL`, from
+    deg Y(0) = 1 and deg Y(-1) = -1.
     """
-    prev, cur = (-1,) * pair.n, (1,) * pair.n
+    ks = range(pair.n)
+    prev, cur = dict.fromkeys(ks, -1), dict.fromkeys(ks, 1)
     table = []
-    for _ in range(pair.period):
-        table.append(cur)
-        prev, cur = cur, tuple(
-            sum(m * min(0, cur[j]) for j, m in ups)
-            + sum(m * max(0, cur[j]) for j, m in downs) - prev[k]
-            for k, (ups, downs) in enumerate(pair.factors)
-        )
+    for u in range(pair.period):
+        table.append(tuple(cur.values()))
+        prev, cur = cur, _next_level(pair, prev, cur, ks, _TROPICAL, u + 1)
     return tuple(table)
 
 
@@ -312,26 +316,21 @@ def monomial_sign(pair: PairIndexing, k: int, u: int,
 
 
 def constant_residual(pair: PairIndexing, y, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """Cleared-denominator residual of the constant Y-system at y.
+    """Residual of the constant Y-system at y: max_k |Y_k(1) - y_k| for the
+    step `_next_level` from Y(-1) = Y(0) = y.
 
-    Returns max_i | y_i^2 * prod_j' (1 + y_{ij'}^{-1})**I'_{i'j'}
-                    - prod_j (1 + y_{ji'})**I_{ij} |.
+    A constant solution of the Y-system is exactly a fixed point of that
+    step.  A component at 0 or -1 raises DegenerateInput.
     """
     if len(y) != pair.n:
         raise ValueError(f"expected a vector of length {pair.n}")
     with ctx.workprec():
-        yv = [to_mpc(v) for v in y]
+        yv = dict(enumerate(map(to_mpc, y)))
         tol = ctx.tau_res
-        for k, v in enumerate(yv):
+        for k, v in yv.items():
             if abs(v) <= tol or abs(1 + v) <= tol:
                 raise DegenerateInput(f"component {pair.indices[k]} sits at a degenerate value")
-        worst = mp.mpf(0)
-        for k, (ups, downs) in enumerate(pair.factors):
-            lhs = yv[k] ** 2
-            for j, m in downs:
-                lhs *= (1 + 1 / yv[j]) ** m
-            rhs = mp.mpc(1)
-            for j, m in ups:
-                rhs *= (1 + yv[j]) ** m
-            worst = max(worst, abs(lhs - rhs))
-        return worst
+        ar, raw, wrap = _table(list(yv.values()), tol)
+        seed = {k: raw(v) for k, v in yv.items()}
+        step = _next_level(pair, seed, seed, yv.keys(), ar, 1)
+        return max(abs(wrap(v) - yv[k]) for k, v in step.items())

@@ -323,10 +323,16 @@ def test_qseries_custom_bad_input_names_its_flag(matrix, b, fragment, other, cap
 
 @pytest.mark.parametrize("residues, modulus, fragment", [
     ("1,x", "5", "--residues"), ("7", "5", "must lie in 1..4"), ("1,4", "0", "positive integer"),
+    ("0", "5", "--residues 0 --modulus 5: residues must lie in 1..4"),
+    ("1", "1", "--residues 1 --modulus 1: modulus must be at least 2"),
 ])
 def test_qseries_custom_bad_product_exits_2(residues, modulus, fragment, capsys):
-    _assert_bad_input(["qseries", "custom", "--matrix", "[[2]]", "--N", "10",
-                       "--residues", residues, "--modulus", modulus], capsys, fragment)
+    # the product's flags are checked before the series head is printed
+    assert run(["qseries", "custom", "--matrix", "[[2]]", "--N", "10",
+                "--residues", residues, "--modulus", modulus]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err and fragment in err and "Traceback" not in err, (out, err)
+    assert len(err.strip().splitlines()) == 1, err
 
 
 def test_qseries_custom_zero_denominator_c_exits_2(capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import adet.dynkin
 from adet import (
     RationalMatrix,
     adjacency_matrix,
@@ -15,7 +16,7 @@ from adet import (
     pair_indexing,
     parse_diagram,
 )
-from adet.errors import InvalidDiagram
+from adet.errors import AdetError, InvalidDiagram
 
 from conftest import all_pairs_up_to, pair
 
@@ -153,6 +154,14 @@ def test_nahm_symmetric_positive_definite(label):
     a = nahm_matrix(p.x, p.xp)
     assert a.is_symmetric()
     assert np.linalg.eigvalsh(a.to_float()).min() > 1e-12
+
+
+def test_nahm_rejects_indefinite_cartan(monkeypatch):
+    # symmetric and invertible but indefinite (det -3): only the exact
+    # positive-definiteness check can catch it
+    monkeypatch.setattr(adet.dynkin, "cartan_matrix", lambda d: RationalMatrix([[1, 2], [2, 1]]))
+    with pytest.raises(AdetError, match="not positive definite"):
+        nahm_matrix(parse_diagram("A2"), parse_diagram("A1"))
 
 
 def test_rational_matrix_inverse_exact():

@@ -256,6 +256,8 @@ def test_eta_like_product_validation():
         eta_like_product({0, 1}, 5, 10)
     with pytest.raises(ValueError):
         eta_like_product({5}, 5, 10)
+    with pytest.raises(ValueError, match="modulus must be at least 2"):
+        eta_like_product(set(), 1, 10)
 
 
 def test_rogers_ramanujan_identities():

@@ -235,6 +235,31 @@ def test_tropical_degrees_never_zero():
             assert all(degrees[k] != 0 for k in p.active_indices(u)), (label, u)
 
 
+def _tropical_by_hand(p) -> tuple:
+    """Test oracle: the tropical recurrence written out on the plan, with
+    1 + Y -> min(0, deg Y) and 1 + 1/Y -> -max(0, deg Y)."""
+    prev, cur = (-1,) * p.n, (1,) * p.n
+    table = []
+    for _ in range(p.period):
+        table.append(cur)
+        prev, cur = cur, tuple(
+            sum(m * min(0, cur[j]) for j, m in ups)
+            + sum(m * max(0, cur[j]) for j, m in downs) - prev[k]
+            for k, (ups, downs) in enumerate(p.factors)
+        )
+    return tuple(table)
+
+
+def test_tropical_table_matches_hand_recurrence():
+    labels = all_pairs_up_to(16)
+    assert len(labels) == 385
+    for label in labels:
+        p = pair(label)
+        assert _tropical_table(p) == _tropical_by_hand(p), label
+    bumped = replace(pair("A2,A1"), ix=((0, 2), (1, 0)))
+    assert _tropical_table(bumped) == _tropical_by_hand(bumped) != _tropical_table(pair("A2,A1"))
+
+
 @pytest.mark.slow
 def test_monomial_count_matches_central_charge_all_small_pairs(ctx128):
     for label in all_pairs_up_to(8):
@@ -525,14 +550,46 @@ def test_escalation_on_small_magnitudes_only():
 
 
 def test_constant_residual_values(ctx128):
+    # |Y(1) - y| for one step from Y(-1) = Y(0) = y
     with ctx128.workprec():
         p = pair("A1,A1")
         assert constant_residual(p, [1.0], ctx128) < 1e-30
-        assert abs(constant_residual(p, [2.0], ctx128) - 3) < 1e-30
+        assert constant_residual(p, [2.0], ctx128) == mp.mpf(1.5)  # Y(1) = 1/2
+        assert constant_residual(pair("A1,T1"), [1.0], ctx128) == mp.mpf(0.5)  # Y(1) = (1/2)/1
         y = (mp.sqrt(5) - 1) / 2
         assert constant_residual(pair("A1,T1"), [y], ctx128) < 1e-25
         phi = (1 + mp.sqrt(5)) / 2
         assert constant_residual(pair("T1,A1"), [phi], ctx128) < 1e-25
+
+
+def _constant_drift(p, y):
+    """Test oracle: max_k |rhs_k(y) / y_k - y_k| on mp operators, with the
+    right-hand side written out from the adjacency rows."""
+    worst = 0
+    for k, (i, ip) in enumerate(p.indices):
+        num, den = mp.mpf(1), mp.mpf(1)
+        for j, m in enumerate(p.ix[i]):
+            num *= (1 + y[j * p.rp + ip]) ** m
+        for jp, m in enumerate(p.ixp[ip]):
+            den *= (1 + 1 / y[i * p.rp + jp]) ** m
+        worst = max(worst, abs(num / den / y[k] - y[k]))
+    return worst
+
+
+def test_constant_residual_is_the_step_drift(ctx128):
+    # all-mpf, all-mpc and mixed inputs (the last on the operator table)
+    # read max_k |Y_k(1) - y_k| from the step seeded with Y(-1) = Y(0) = y
+    with ctx128.workprec():
+        for label in ("A2,T1", "A1,T2", "A3,A2"):
+            p = pair(label)
+            re, im = np.linspace(0.6, 1.4, p.n), np.linspace(-0.2, 0.3, p.n)
+            for y in ([mp.mpf(a) for a in re], [mp.mpc(a, b) for a, b in zip(re, im)],
+                      [mp.mpf(re[0])] + [mp.mpc(a, b) for a, b in zip(re[1:], im[1:])]):
+                got = constant_residual(p, y, ctx128)
+                assert abs(got - _constant_drift(p, y)) < 1e-35 * got, (label, y)
+        # a mixed root vector reads as a root
+        sol = adet.solve_positive(pair("A2,T1"), ctx128)
+        assert constant_residual(pair("A2,T1"), [sol.y[0], mp.re(sol.y[1])], ctx128) < ctx128.tau_res
 
 
 def test_constant_residual_solver_outputs(ctx128):
