@@ -17,6 +17,7 @@ import mpmath as mp
 import numpy as np
 
 from adet import (
+    TORSION_TOLERANCE,
     SearchBudget,
     dilog_sum_over_Splus,
     pair_indexing,
@@ -38,10 +39,9 @@ print("torsion criterion over full multistart solution sets:")
 for a, b in (("A1", "T1"), ("A1", "T2"), ("A2", "A1")):
     p = pair(a, b)
     sols = solve_all(p, SearchBudget(starts=1000, seed=0))
-    rep = torsion_check(sols)
-    worst = max(r.residual for r in rep.records)
+    worst = float(max(torsion_check(sols)))  # one |sum D(x)| per solution
     print(f"  ({a},{b}): {len(sols.solutions)} solutions, max |sum D(x)| = {worst:.2e} -> "
-          f"{'PASS' if rep.passed else 'FAIL'}")
+          f"{'PASS' if worst < TORSION_TOLERANCE else 'FAIL'}")
 
 print("\ndilogarithm sums over S+ at random complex points (should all vanish):")
 for a, b in (("A1", "T1"), ("A2", "A1"), ("T1", "T1")):

@@ -35,7 +35,6 @@ from mpmath import libmp
 
 from .errors import DegenerateInput
 from .precision import DEFAULT_CONTEXT, GUARD_BITS, PrecisionContext, to_mpc
-from .report import CheckRecord, VerificationReport
 
 __all__ = [
     "li2",
@@ -281,23 +280,14 @@ def xi_D(solution, ctx: PrecisionContext = DEFAULT_CONTEXT):
         return mp.fsum(bloch_wigner(x, ctx) for x in xs)
 
 
-def torsion_check(solutions, ctx: PrecisionContext = DEFAULT_CONTEXT,
-                  tolerance: float = TORSION_TOLERANCE) -> VerificationReport:
-    """Necessary torsion condition: |sum_i D(x_i)| < tolerance per solution."""
-    sols = solutions.solutions
-    if not sols:
+def torsion_check(solutions, ctx: PrecisionContext = DEFAULT_CONTEXT) -> tuple:
+    """The necessary torsion condition: |sum_i D(x_i)| for each solution of
+    the set, in its order.  It is 0 at a torsion point, so at the working
+    precision it reads below TORSION_TOLERANCE.  An empty set raises
+    DegenerateInput."""
+    if not solutions.solutions:
         raise DegenerateInput("empty solution set")
-    records = tuple(
-        CheckRecord.make(f"|sum D(x)| for solution {idx}", abs(xi_D(sol, ctx)), tolerance)
-        for idx, sol in enumerate(sols)
-    )
-    return VerificationReport(
-        command="torsion_check",
-        metadata={"pair": solutions.pair, "solutions": len(sols)},
-        records=records,
-        seed=getattr(solutions, "seed", None),
-        precision_bits=ctx.mantissa_bits,
-    )
+    return tuple(abs(xi_D(sol, ctx)) for sol in solutions.solutions)
 
 
 def rogers_L(x, ctx: PrecisionContext = DEFAULT_CONTEXT):

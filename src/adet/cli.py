@@ -17,7 +17,7 @@ import mpmath as mp
 import numpy as np
 
 from . import bloch, qseries, solver, verify, ysystem
-from .dynkin import _ldl, nahm_matrix, pair_indexing, parse_diagram
+from .dynkin import _ldl, cartan_matrix, nahm_matrix, pair_indexing, parse_diagram
 from .errors import AdetError, NonIntegralExponent
 from .precision import PrecisionContext
 from .report import CheckRecord, VerificationReport
@@ -175,12 +175,11 @@ def _ctx(args) -> PrecisionContext:
 
 def _solve_all(pair, ctx, starts, seed):
     """solve_all over `pair` with the --starts/--seed budget."""
-    budget = solver.SearchBudget(starts=starts, seed=seed)
-    if pair.n > budget.rank_cap:
+    if pair.n > solver.RANK_CAP:
         raise argparse.ArgumentTypeError(
             f"--pair {pair.label}: size {pair.n} exceeds the multistart search cap "
-            f"{budget.rank_cap}")
-    return solver.solve_all(pair, budget, ctx)
+            f"{solver.RANK_CAP}")
+    return solver.solve_all(pair, solver.SearchBudget(starts=starts, seed=seed), ctx)
 
 
 def _sample_points(pair, count, rng, noise=0.1):
@@ -193,24 +192,28 @@ def _sample_points(pair, count, rng, noise=0.1):
     return pts
 
 
-def _definite_record(a) -> CheckRecord:
-    """Residual 0 if every exact LDL^t pivot of A's symmetric part is positive, else 1."""
+def _definite_record(*matrices) -> CheckRecord:
+    """Residual 0 if every exact LDL^t pivot of each matrix's symmetric part is positive, else 1."""
     try:
-        _ldl([[(Fraction(u) + Fraction(v)) / 2 for u, v in zip(row, col)]
-              for row, col in zip(a, zip(*a))])
+        for a in matrices:
+            _ldl([[(Fraction(u) + Fraction(v)) / 2 for u, v in zip(row, col)]
+                  for row, col in zip(a, zip(*a))])
     except ValueError:
         return CheckRecord.make("positive definite (exact LDL^t pivots)", 1, 1)
     return CheckRecord.make("positive definite (exact LDL^t pivots)", 0, 1)
 
 
 def _cmd_matrix(args) -> VerificationReport:
-    a = nahm_matrix(args.pair.x, args.pair.xp)
+    pair = args.pair
+    a = nahm_matrix(pair.x, pair.xp)
     for row in a.entries:
         print("[" + " ".join(str(v) for v in row) + "]")
     asymmetric = sum(a[i, j] != a[j, i] for i in range(a.rows) for j in range(a.cols))
+    # a Kronecker product of positive-definite matrices is positive definite,
+    # so A = C(X) (x) C(X')^{-1} is decided from its two Cartan factors
     records = (CheckRecord.make("asymmetric entries of A (exact)", asymmetric, 1),
-               _definite_record(a.entries))
-    return VerificationReport("matrix", {"pair": args.pair.label, "matrix": a.to_json_obj()},
+               _definite_record(*(cartan_matrix(d).entries for d in (pair.x, pair.xp))))
+    return VerificationReport("matrix", {"pair": pair.label, "matrix": a.to_json_obj()},
                               records, args.seed, args.precision_bits)
 
 
@@ -261,10 +264,12 @@ _DILOGSUM = ("|sum d D(f)| over S+",
              lambda pair, pt, ctx: abs(verify.dilog_sum_over_Splus(pair, pt, ctx)))
 
 
-def _torsion_records(pair, ctx, rng, count, tol_scale, seed):
+def _torsion_records(pair, ctx, rng, count, tol_scale, seed) -> list:
     """One torsion record per solution of a multistart search of `count` starts."""
     sols = _solve_all(pair, ctx, count, seed)
-    return bloch.torsion_check(sols, ctx, tolerance=bloch.TORSION_TOLERANCE * tol_scale).records
+    tol = bloch.TORSION_TOLERANCE * tol_scale
+    return [CheckRecord.make(f"|sum D(x)| for solution {i}", residual, tol)
+            for i, residual in enumerate(bloch.torsion_check(sols, ctx))]
 
 
 def _fiveterm_records(pair, ctx, rng, count, tol_scale, seed) -> list:

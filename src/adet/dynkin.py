@@ -90,35 +90,29 @@ def _edges(d: DynkinDiagram) -> list[tuple[int, int]]:
     return [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, n - 1)]
 
 
+@dataclass(frozen=True)
 class RationalMatrix:
     """Immutable exact matrix over the rationals (row-major Fraction entries)."""
 
-    __slots__ = ("rows", "cols", "entries")
+    entries: tuple
 
-    def __init__(self, entries):
-        data = tuple(tuple(Fraction(v) for v in row) for row in entries)
+    def __post_init__(self):
+        data = tuple(tuple(Fraction(v) for v in row) for row in self.entries)
         if not data or not data[0] or any(len(r) != len(data[0]) for r in data):
             raise ValueError("matrix entries must be a nonempty rectangular array")
         object.__setattr__(self, "entries", data)
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", len(data[0]))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalMatrix is immutable")
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
+
+    @property
+    def cols(self) -> int:
+        return len(self.entries[0])
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
         return self.entries[i][j]
-
-    def __eq__(self, other):
-        return isinstance(other, RationalMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        body = "; ".join(" ".join(str(v) for v in row) for row in self.entries)
-        return f"RationalMatrix[{self.rows}x{self.cols}: {body}]"
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(

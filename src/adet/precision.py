@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
+__all__ = ["PrecisionContext", "DEFAULT_CONTEXT"]
+
 # Extra bits carried internally so results round correctly at the requested size.
 GUARD_BITS = 16
 
@@ -25,8 +27,10 @@ class PrecisionContext:
     tau_res: float = 1e-20
 
     def __post_init__(self):
-        if self.mantissa_bits < 53:
-            raise ValueError("mantissa_bits must be at least 53")
+        # below about 80 bits correct pairs miss the default gates; 96 leaves a margin
+        if self.mantissa_bits < 96:
+            raise ValueError("mantissa_bits must be at least 96, where correct pairs still meet "
+                             "the default tolerances tau_eq = 1e-25 and tau_res = 1e-20")
         if not (self.tau_eq > 0 and self.tau_res > 0):
             raise ValueError("tolerances must be positive")
 

@@ -1,6 +1,6 @@
 """Structured pass/fail reports shared by the verification entry points.
 
-JSON schema (round-trippable via to_json_obj/from_json_obj):
+JSON schema (written by to_json_obj):
 
     {
       "command": str,
@@ -24,6 +24,8 @@ import json
 from dataclasses import dataclass, field
 
 import mpmath as mp
+
+__all__ = ["CheckRecord", "VerificationReport"]
 
 
 def _as_float(value) -> float:
@@ -57,16 +59,6 @@ class CheckRecord:
             "passed": self.passed,
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "CheckRecord":
-        return cls(
-            name=obj["name"],
-            residual=obj["residual"],
-            tolerance=obj["tolerance"],
-            passed=obj["passed"],
-            residual_str=obj.get("residual_str", ""),
-        )
-
 
 @dataclass
 class VerificationReport:
@@ -91,17 +83,6 @@ class VerificationReport:
             "wall_time_s": self.wall_time_s,
             "passed": self.passed,
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "VerificationReport":
-        return cls(
-            command=obj["command"],
-            metadata=obj.get("metadata", {}),
-            records=tuple(CheckRecord.from_json_obj(r) for r in obj.get("records", [])),
-            seed=obj.get("seed"),
-            precision_bits=obj.get("precision_bits", 128),
-            wall_time_s=obj.get("wall_time_s", 0.0),
-        )
 
     def dump_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

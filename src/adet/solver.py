@@ -58,6 +58,7 @@ _MAX_HALVINGS = 40
 _HALVING_BLOCKS = (np.arange(1),) + tuple(
     np.arange(h, min(h + 8, _MAX_HALVINGS + 1)) for h in range(1, _MAX_HALVINGS + 1, 8))
 _FIXED_POINT_ITERS = 400  # cap of the positive-cone sweep that seeds Newton
+RANK_CAP = 6  # the largest pair size solve_all searches
 
 
 def y_to_x(y, ctx: PrecisionContext = DEFAULT_CONTEXT):
@@ -336,7 +337,6 @@ class SolutionSet:
 class SearchBudget:
     starts: int = 2000
     seed: int = 0
-    rank_cap: int = 6
 
 
 def _integer_solve(g, w):
@@ -501,9 +501,8 @@ def solve_all(pair: PairIndexing, budget: SearchBudget | None = None,
     Determined entirely by (starts, seed, ctx) on a given numpy build.
     """
     budget = budget or SearchBudget()
-    if pair.n > budget.rank_cap:
-        raise ValueError(f"pair size {pair.n} exceeds the exhaustive-search cap {budget.rank_cap}; "
-                         "pass a SearchBudget with a larger rank_cap to override")
+    if pair.n > RANK_CAP:
+        raise ValueError(f"pair size {pair.n} exceeds the multistart search cap {RANK_CAP}")
     system = NahmPolynomialSystem(pair)
     rng = np.random.default_rng(budget.seed)
     logr = rng.uniform(-1.0, 1.0, size=(budget.starts, pair.n))

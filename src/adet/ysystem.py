@@ -235,12 +235,16 @@ def _as_mpc(v) -> tuple:
 
 
 def check_periodicity(traj: YTrajectory, ctx: PrecisionContext = DEFAULT_CONTEXT) -> VerificationReport:
-    """Verify Y(u + 2(h+h')) = Y(u) over the stored window.
+    """Verify Y(u + 2(h+h')) = Y(u) over the stored window, relative to |Y(u)|.
 
-    The differences run on the raw libmp values through the calls mp's
-    operators make, so the residual is bit-identical to |a - b| on the mp
-    numbers.  A grid with an mpc value compares as mpc, with each mpf x
-    read as (x, 0), which gives the same difference and |.| as the mpf calls.
+    The residual is max |Y(u+p) - Y(u)| / 2^max(0, e), with e the `_top` of
+    Y(u): a power of two within a factor 2 of max(1, |Y(u)|), so the gate
+    tau_eq reads relative error where |Y| is large and absolute error where
+    it is small.  The differences run on the raw libmp values through the
+    calls mp's operators make, bit-identical to |a - b| on the mp numbers,
+    and the division by a power of two is exact.  A grid with an mpc value
+    compares as mpc, with each mpf x read as (x, 0), which gives the same
+    difference and |.| as the mpf calls.
     """
     pair = traj.pair
     period = pair.period
@@ -259,11 +263,14 @@ def check_periodicity(traj: YTrajectory, ctx: PrecisionContext = DEFAULT_CONTEXT
         prec, rnd = mp.mp.prec, libmp.round_nearest
         for u in range(0, traj.u_max - period + 1):
             for k in range(pair.n):
-                diff = abs_(sub(raw(values[k, u + period]), raw(values[k, u]), prec, rnd), prec, rnd)
+                base = raw(values[k, u])
+                diff = abs_(sub(raw(values[k, u + period]), base, prec, rnd), prec, rnd)
+                diff = libmp.mpf_shift(diff, -max(0, _top(base)))
                 if libmp.mpf_gt(diff, worst):
                     worst = diff
                     worst_at = (pair.indices[k], u)
-    rec = CheckRecord.make("max |Y(u+2(h+h')) - Y(u)|", mp.make_mpf(worst), ctx.tau_eq)
+    rec = CheckRecord.make("max |Y(u+2(h+h')) - Y(u)| relative to max(1, |Y(u)|)",
+                           mp.make_mpf(worst), ctx.tau_eq)
     return VerificationReport(
         command="check_periodicity",
         metadata={"pair": pair.label, "period": period, "u_max": traj.u_max,

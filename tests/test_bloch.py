@@ -9,6 +9,7 @@ import pytest
 
 import adet
 from adet import (
+    TORSION_TOLERANCE,
     PrecisionContext,
     bloch_wigner,
     central_charge_probe,
@@ -334,12 +335,12 @@ def test_xi_D_conjugation(ctx128):
 
 def test_torsion_check_reports(ctx128):
     sols = adet.solve_all(pair("A1,T1"), adet.SearchBudget(starts=400, seed=0), ctx128)
-    rep = torsion_check(sols, ctx128)
-    assert rep.passed
-    assert len(rep.records) == len(sols.solutions)
-    assert all(r.tolerance == 1e-18 for r in rep.records)
-    obj = rep.to_json_obj()
-    assert obj["passed"] and obj["metadata"]["pair"] == "A1,T1"
+    residuals = torsion_check(sols, ctx128)
+    assert len(residuals) == len(sols.solutions) == 2
+    assert TORSION_TOLERANCE == 1e-18
+    assert all(r < TORSION_TOLERANCE for r in residuals)
+    # one |sum D(x)| per solution, in the set's order
+    assert list(residuals) == [abs(xi_D(s, ctx128)) for s in sols.solutions]
 
 
 def test_torsion_check_empty_set_rejected(ctx128):

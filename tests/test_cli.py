@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from adet import PrecisionContext, central_charge_probe, cli, solver
+from adet import PrecisionContext, central_charge_probe, cli, nahm_matrix, parse_diagram, solver
 from adet.cli import run
 from adet.report import CheckRecord, VerificationReport
 
@@ -20,9 +20,13 @@ def test_matrix_json_roundtrip(tmp_path, capsys):
     assert run(["--json", str(path), "matrix", "--pair", "A1,T2"]) == 0
     capsys.readouterr()
     obj = json.loads(path.read_text())
-    rep = VerificationReport.from_json_obj(obj)
-    assert rep.passed
-    assert rep.metadata["matrix"]["entries"] == [["2", "2"], ["2", "4"]]
+    assert obj["passed"]
+    assert obj["metadata"]["matrix"]["entries"] == [["2", "2"], ["2", "4"]]
+    matrix = nahm_matrix(parse_diagram("A1"), parse_diagram("T2"))
+    records = (CheckRecord.make("asymmetric entries of A (exact)", 0, 1),
+               CheckRecord.make("positive definite (exact LDL^t pivots)", 0, 1))
+    rep = VerificationReport("matrix", {"pair": "A1,T2", "matrix": matrix.to_json_obj()}, records,
+                             0, 128, obj["wall_time_s"])
     assert rep.to_json_obj() == obj
 
 
@@ -180,8 +184,8 @@ def test_report_solves_positive_once(tmp_path, monkeypatch, capsys):
     probe = central_charge_probe(calls[0][0], ctx)
     record = next(r for r in json.loads(path.read_text())["records"]
                   if r["name"] == "positive solution residual")
-    assert CheckRecord.from_json_obj(record) == CheckRecord.make(
-        "positive solution residual", probe.solution.residual, ctx.tau_res)
+    assert record == CheckRecord.make(
+        "positive solution residual", probe.solution.residual, ctx.tau_res).to_json_obj()
 
 
 # report's counts, one per count flag of the check-family table
@@ -278,6 +282,19 @@ def test_definite_record_negative_control():
     assert record.residual == 1 and not record.passed
 
 
+def test_matrix_definite_record_reads_the_cartan_factors(monkeypatch, capsys):
+    # `matrix` factors C(X) and C(X'), never their 64 x 64 Kronecker product
+    sizes = []
+    ldl = cli._ldl
+    monkeypatch.setattr(cli, "_ldl", lambda m: sizes.append(len(m)) or ldl(m))
+    assert run(["matrix", "--pair", "E8,E8"]) == 0
+    capsys.readouterr()
+    assert sizes == [8, 8]
+    # one indefinite factor fails the record
+    record = cli._definite_record([[2, -1], [-1, 2]], [[1, 2], [2, 1]])
+    assert record.residual == 1 and not record.passed
+
+
 def _assert_bad_input(argv, capsys, fragment):
     assert run(argv) == 2
     err = capsys.readouterr().err
@@ -285,9 +302,11 @@ def _assert_bad_input(argv, capsys, fragment):
     assert "error:" in err and fragment in err and "Traceback" not in err
 
 
-def test_precision_below_53_bits_exits_2(capsys):
-    _assert_bad_input(["solve", "--pair", "A1,T1", "--precision-bits", "10"], capsys,
-                      "at least 53")
+def test_precision_below_96_bits_exits_2(capsys):
+    # correct pairs miss the default tolerances below about 80 bits
+    for bits in ("10", "64", "95"):
+        _assert_bad_input(["solve", "--pair", "A1,T1", "--precision-bits", bits], capsys,
+                          "at least 96")
 
 
 @pytest.mark.parametrize("matrix, fragment", [

@@ -373,7 +373,8 @@ def test_solve_all_dedup_separation(ctx128):
 
 
 def test_solve_all_rank_cap():
-    with pytest.raises(ValueError, match="rank_cap"):
+    assert solver.RANK_CAP == 6
+    with pytest.raises(ValueError, match="search cap 6"):
         solve_all(pair("E7,A1"), SearchBudget(starts=10))
 
 

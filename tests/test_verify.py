@@ -6,12 +6,13 @@ import pytest
 
 import adet
 from adet import (
+    check_periodicity,
     dilog_sum_over_Splus,
     iterate,
     perturbed_pair,
     wedge_form_residual,
 )
-from adet.errors import DegeneratePoint
+from adet.errors import DegeneratePoint, DegenerateStep
 from adet.precision import to_mpc
 from adet.verify import _probe_directions, _resolve_d, _tangent_grid
 
@@ -224,6 +225,24 @@ def test_wedge_exponent_negative_control_default_b(label, side, i, j, ctx128, rn
     probe, oracle = both(perturbed_pair(p, side, i, j), pt, ctx128)
     assert min(probe, oracle) > CONTROL_FLOOR, (label, mp.nstr(probe, 5), mp.nstr(oracle, 5))
     assert probe <= oracle * (1 + 1e-30)
+
+
+@pytest.mark.parametrize("label,side,i,j", EXPONENT_BUMPS)
+def test_periodicity_exponent_negative_control(label, side, i, j, ctx128, rng):
+    # the periodicity residual, relative to max(1, |Y|), still sees every
+    # bumped exponent: it reads 0.5 or more, or the bumped trajectory reaches
+    # Y = 0 (A1,T2), which the periodicity family reports as a failure
+    bad = perturbed_pair(pair(label), side, i, j)
+    residuals = []
+    for _ in range(3):
+        try:
+            traj = iterate(bad, list(rng.uniform(0.5, 2.0, bad.n)), 2 * bad.period, ctx128)
+        except DegenerateStep:
+            continue
+        rep = check_periodicity(traj, ctx128)
+        assert not rep.passed
+        residuals.append(rep.records[0].residual)
+    assert all(r > 0.1 for r in residuals), (label, residuals)
 
 
 def test_wedge_exponent_negative_control(ctx128, rng):

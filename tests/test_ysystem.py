@@ -144,6 +144,39 @@ def test_periodicity_window_too_short(ctx128):
         check_periodicity(traj, ctx128)
 
 
+def _relative_periodicity_oracle(traj):
+    """max |Y(u+p) - Y(u)| / max(1, |Y(u)|) over the window, on mp numbers."""
+    p = traj.pair
+    with mp.workprec(traj.precision_bits + GUARD_BITS):
+        return max(abs(traj.value(k, u + p.period) - traj.value(k, u)) / max(1, abs(traj.value(k, u)))
+                   for u in range(traj.u_max - p.period + 1) for k in range(p.n))
+
+
+@pytest.mark.parametrize("label,imag", [("A1,T1", 0), ("A2,A1", 0), ("E6,A1", 0), ("E8,A1", 0),
+                                        ("A2,T1", 0.1), ("D4,A1", 0.1)])
+def test_periodicity_residual_is_relative(label, imag, ctx128, rng):
+    # the residual divides by a power of two within a factor 2 of max(1, |Y(u)|)
+    p = pair(label)
+    y = [complex(a, imag * b) if imag else a
+         for a, b in zip(rng.uniform(0.5, 2.0, p.n), rng.uniform(-1, 1, p.n))]
+    traj = iterate(p, y, 2 * p.period, ctx128)
+    residual = check_periodicity(traj, ctx128).records[0].residual
+    oracle = float(_relative_periodicity_oracle(traj))
+    assert 0 < oracle / 2 <= residual <= 2 * oracle, (label, residual, oracle)
+
+
+def test_periodicity_e8a1_passes_at_112_bits(rng):
+    # |Y| reaches about 7e15 on E8,A1, so the absolute difference read up to
+    # 2e-21 against the 1e-25 gate at 112 bits; the relative one stays near
+    # the unit roundoff
+    ctx = adet.PrecisionContext(mantissa_bits=112)
+    p = pair("E8,A1")
+    for _ in range(4):
+        traj = iterate(p, list(rng.uniform(0.5, 2.0, p.n)), 2 * p.period, ctx)
+        rep = check_periodicity(traj, ctx)
+        assert rep.passed and rep.records[0].residual < 1e-33, rep.records[0].residual_str
+
+
 @pytest.mark.slow
 def test_periodicity_sweep_all_supported_pairs(ctx256):
     # every supported pair with rank product <= 8, 20 random seeds, 256 bits
