@@ -11,17 +11,18 @@ for a = (i, i').  Solutions with any component at 0 or -1 are degenerate
 artifacts of the clearing and are discarded.  Root finding is multistart
 damped Newton: one complex128 run over all starts at once (a batch of
 Jacobian solves per step) locates basins, and every distinct candidate is
-polished with mpmath Newton at the context precision, which gives up on a
-linear crawl.
+polished with mpmath Newton at the context precision, which solves each step
+by Gaussian elimination on lists of mp numbers and gives up on a linear
+crawl.  The positive solution starts from a float sweep of the Y-system
+step in the positive cone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import lcm, sqrt
 
 import mpmath as mp
 import numpy as np
-from mpmath import libmp
 
 from .dynkin import PairIndexing, cartan_matrix, nahm_matrix
 from .errors import NoConvergence, PoleInput
@@ -228,13 +229,50 @@ def _newton_batch(system, seeds):
     return [y[i] if degenerate[i] or (ended[i] and rnorm[i] < 1e-8) else None for i in range(starts)]
 
 
+def _lin_solve(a, b):
+    """x with a x = b, by Gaussian elimination with partial pivoting on
+    lists of mp numbers at the working precision (a and b are not changed).
+
+    Raises ZeroDivisionError when a pivot has |p| <= ||a||_1 * eps, as
+    mpmath's LU decomposition does, so a numerically singular matrix is
+    refused rather than solved.  Exact zeros are skipped, which keeps the
+    sparse Jacobians of large pairs cheap.
+    """
+    n = len(b)
+    rows = [list(row) + [v] for row, v in zip(a, b)]
+    tol = max(sum(abs(row[k]) for row in a) for k in range(n)) * mp.eps
+    for j in range(n):
+        piv = max(range(j, n), key=lambda i: abs(rows[i][j]))
+        if abs(rows[piv][j]) <= tol:
+            raise ZeroDivisionError("matrix is numerically singular")
+        rows[j], rows[piv] = rows[piv], rows[j]
+        top = rows[j]
+        nonzero = [k for k in range(j + 1, n + 1) if top[k]]
+        for row in rows[j + 1:]:
+            if row[j]:
+                f = row[j] / top[j]
+                for k in nonzero:
+                    row[k] -= f * top[k]
+    x = [0] * n
+    for j in reversed(range(n)):
+        row = rows[j]
+        v = row[n]
+        for k in range(j + 1, n):
+            if row[k]:
+                v -= row[k] * x[k]
+        x[j] = v / row[j]
+    return x
+
+
 def _newton_mp(system, y0, ctx):
     """Damped Newton at context precision; returns (y, info) or None.
 
-    The run ends converged once a step is below _MP_MIN_STEP.  It ends
-    unconverged at _MP_MAX_ITER, or once _MP_CRAWL_STEPS steps in a row each
-    fail to halve the one before: a linear crawl, as toward the cleared locus
-    1 + y = 0, that quadratic convergence to a simple root never shows.
+    Each step solves J dy = -r with `_lin_solve`; a numerically singular
+    Jacobian ends the run with None.  The run ends converged once a step is
+    below _MP_MIN_STEP.  It ends unconverged at _MP_MAX_ITER, or once
+    _MP_CRAWL_STEPS steps in a row each fail to halve the one before: a
+    linear crawl, as toward the cleared locus 1 + y = 0, that quadratic
+    convergence to a simple root never shows.
     """
     min_step = mp.mpf(_MP_MIN_STEP)
     with ctx.workprec(32):
@@ -246,9 +284,8 @@ def _newton_mp(system, y0, ctx):
             r = system.residual(y)
             rnorm = max(abs(v) for v in r)
             try:
-                jac = mp.matrix(system.jacobian(y))
-                dy = mp.lu_solve(jac, mp.matrix([-v for v in r]))
-            except (ZeroDivisionError, ValueError):
+                dy = _lin_solve(system.jacobian(y), [-v for v in r])
+            except ZeroDivisionError:
                 return None
             lam = mp.mpf(1)
             for h in range(_MAX_HALVINGS + 1):
@@ -344,14 +381,16 @@ def _integer_solve(g, w):
 
     Column echelon reduction: Euclid's algorithm along each row by column
     operations on g stacked over an identity, which carries the unimodular
-    transform; then forward substitution along the pivots."""
+    transform; then forward substitution along the pivots.  A Euclid step
+    rebuilds only the columns with a nonzero entry in the current row."""
     rows, cols = len(g), len(g[0])
     free = [list(c) + [int(i == j) for i in range(cols)] for j, c in enumerate(zip(*g))]
     acc = [0] * (rows + cols)
     for i in range(rows):
         while sum(1 for c in free if c[i]) > 1:
             p = min((c for c in free if c[i]), key=lambda c: abs(c[i]))
-            free = [c if c is p else [a - c[i] // p[i] * b for a, b in zip(c, p)] for c in free]
+            free = [c if c is p or not c[i] else [a - c[i] // p[i] * b for a, b in zip(c, p)]
+                    for c in free]
         rem = w[i] - acc[i]
         pivot = next((j for j, c in enumerate(free) if c[i]), None)
         if rem and (pivot is None or rem % free[pivot][i]):
@@ -417,24 +456,23 @@ def _positive_fixed_point(pair: PairIndexing):
 
     rhs is the right-hand side of the constant Y-system, one Y-system step
     `ysystem._next_level` from Y(-1) = 1 (dividing by it is exact) and
-    Y(0) = y, on the step's raw mpf table; the map preserves the positive
-    cone and homes in on the all-positive solution, leaving the quadratic
-    finish to Newton.
+    Y(0) = y, run on the operator table over Python floats.  The map
+    preserves the positive cone and homes in on the all-positive solution;
+    the sweep stops once no component drifts by 1e-12 relative, or after
+    _FIXED_POINT_ITERS sweeps, and leaves the quadratic finish to Newton.
+    Returns the start as mpf values.
     """
-    ar, _, wrap = _table([mp.mpf(1)], 0)
-    prec, rnd, stop = mp.mp.prec, libmp.round_nearest, mp.mpf("1e-12")._mpf_
+    ar, _, _ = _table([1.0], 0)
     ks = range(pair.n)
-    ones = dict.fromkeys(ks, libmp.fone)
+    ones = dict.fromkeys(ks, 1.0)
     y = ones
     for _ in range(_FIXED_POINT_ITERS):
-        new = {k: libmp.mpf_sqrt(v, prec, rnd) for k, v in _next_level(pair, ones, y, ks, ar, 1).items()}
-        # the largest drift |a - b| / b is below the stop iff every one is
-        done = all(libmp.mpf_lt(ar.div(libmp.mpf_abs(libmp.mpf_sub(new[k], y[k], prec, rnd)), y[k]), stop)
-                   for k in ks)
+        new = {k: sqrt(v) for k, v in _next_level(pair, ones, y, ks, ar, 1).items()}
+        drift = max(abs(new[k] - y[k]) / y[k] for k in ks)
         y = new
-        if done:
+        if drift < 1e-12:
             break
-    return [wrap(v) for v in y.values()]
+    return [mp.mpf(v) for v in y.values()]
 
 
 def _solution(pair, y, residual, count, info, ctx) -> Solution:

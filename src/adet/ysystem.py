@@ -78,7 +78,8 @@ def _table(values, tol):
     bit-identical to theirs.  `small` reads |x| <= tol from the exponents:
     with tol < 2^t, a finite x with `_top` e <= t - band is small and one with
     e > t is not; only in between, within a factor 2 (mpf) or 4 (mpc) of
-    tol, is |x| taken.  Otherwise (mixed mpf and mpc, Fractions): operators.
+    tol, is |x| taken.  Otherwise (mixed mpf and mpc, Fractions, floats):
+    operators.
     """
     kinds = set(map(type, values))
     if len(kinds) != 1 or not kinds <= _LIBMP.keys():

@@ -1,3 +1,5 @@
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from adet import (
 from adet import solver
 from adet.errors import PoleInput
 
-from conftest import ACCEPT_PAIRS, pair, step
+from conftest import ACCEPT_PAIRS, all_pairs_up_to, pair, step
 
 # nondegenerate solution counts, frozen from lex Groebner bases of the
 # cleared systems ((A1,T2) reduces to y^3 + 4y^2 + 3y - 1, etc.) and
@@ -126,38 +128,37 @@ def test_solve_positive_contraction(ctx128):
     assert all(b < a for a, b in zip(steps, steps[1:]))
 
 
-def _positive_fixed_point_on_mp(p):
-    """Test oracle: the positive-cone sweep on mp numbers and their operators,
-    forming the denominator product before dividing, as the Y-system step
-    does; returns the start and the number of sweeps made."""
-    y = [mp.mpf(1)] * p.n
+def _positive_fixed_point_on_floats(p):
+    """Test oracle: the positive-cone sweep on Python floats, one neighbour
+    factor at a time, forming the denominator product before dividing, as
+    the Y-system step does; returns the start and the number of sweeps made."""
+    y = [1.0] * p.n
     for sweeps in range(1, solver._FIXED_POINT_ITERS + 1):
         new = []
         for ups, downs in p.factors:
-            num, den = mp.mpf(1), mp.mpf(1)
+            num, den = 1.0, 1.0
             for j, m in ups:
                 num *= (1 + y[j]) ** m
             for j, m in downs:
                 den *= (1 + 1 / y[j]) ** m
-            new.append(mp.sqrt(num / den))
+            new.append(math.sqrt(num / den))
         drift = max(abs(a - b) / b for a, b in zip(new, y))
         y = new
-        if drift < mp.mpf("1e-12"):
+        if drift < 1e-12:
             break
     return y, sweeps
 
 
-@pytest.mark.parametrize("bits", [128, 256])
-def test_positive_fixed_point_matches_mp_sweep(bits):
-    # the sweep on raw libmp values is bit for bit the sweep on mp numbers;
-    # A1,T2 divides by two factors 1 + 1/Y at one index, and E7,A1 runs
-    # into the cap of 400 sweeps
-    ctx = adet.PrecisionContext(bits)
+def test_positive_fixed_point_matches_float_sweep():
+    # the sweep through the Y-system step's operator table is bit for bit
+    # the per-neighbour float sweep; A1,T2 divides by two factors 1 + 1/Y at
+    # one index, and E7,A1 runs into the cap of 400 sweeps
     sweeps = {}
     for label in ("A1,A1", "A1,T1", "A1,T2", "A3,A1", "A2,A2", "D4,A1", "E6,A1", "E7,A1"):
-        with ctx.workprec(32):
-            ref, sweeps[label] = _positive_fixed_point_on_mp(pair(label))
-            assert [v._mpf_ for v in solver._positive_fixed_point(pair(label))] == [v._mpf_ for v in ref], label
+        ref, sweeps[label] = _positive_fixed_point_on_floats(pair(label))
+        got = solver._positive_fixed_point(pair(label))
+        assert all(type(v) is mp.mpf for v in got), label
+        assert [float(v) for v in got] == ref, label
     assert sweeps["E7,A1"] == solver._FIXED_POINT_ITERS and sweeps["E6,A1"] < sweeps["E7,A1"]
 
 
@@ -186,6 +187,47 @@ def test_newton_mp_stops_on_a_crawl(ctx128):
     assert info["iterations"] <= 12
     steps = info["step_norms"]
     assert all(2 * b > a for a, b in zip(steps, steps[1:]))
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_lin_solve_matches_lu_solve(bits):
+    # random complex systems: the elimination agrees with mpmath's LU solve
+    rng = np.random.default_rng(bits)
+    with mp.workprec(bits):
+        for n in range(1, 9):
+            for _ in range(5):
+                a = [[mp.mpc(*rng.standard_normal(2)) for _ in range(n)] for _ in range(n)]
+                b = [mp.mpc(*rng.standard_normal(2)) for _ in range(n)]
+                got = solver._lin_solve(a, b)
+                ref = mp.lu_solve(mp.matrix(a), mp.matrix(b))
+                err = max(abs(u - v) for u, v in zip(got, ref)) / max(abs(v) for v in ref)
+                assert err <= mp.mpf(2) ** -(bits - 8), (n, err)
+
+
+def test_lin_solve_swaps_rows():
+    # a zero leading entry: without a row swap the first pivot would be 0
+    a = [[0, mp.mpc(1)], [mp.mpc(2), mp.mpc(1)]]
+    assert solver._lin_solve(a, [mp.mpc(3), mp.mpc(7)]) == [2, 3]
+    assert a == [[0, 1], [2, 1]]  # the input is left as it was
+
+
+def test_lin_solve_refuses_singular_matrices(ctx128):
+    with ctx128.workprec():
+        exact = [[mp.mpc(1), mp.mpc(2)], [mp.mpc(2), mp.mpc(4)]]
+        numerical = [[mp.mpc(1), mp.mpc(1)], [mp.mpc(1), 1 + mp.mpf("1e-60")]]
+        for a in (exact, numerical):
+            with pytest.raises(ZeroDivisionError):
+                solver._lin_solve(a, [mp.mpc(1), mp.mpc(1)])
+            with pytest.raises(ZeroDivisionError):
+                mp.lu_solve(mp.matrix(a), mp.matrix([1, 1]))
+
+
+def test_newton_mp_singular_jacobian_returns_none(ctx128):
+    # on the cleared locus y = (-1, -1) of A2,T1 the Jacobian is [[1, 1], [1, 1]]
+    system = NahmPolynomialSystem(pair("A2,T1"))
+    with ctx128.workprec():
+        assert system.jacobian([mp.mpc(-1)] * 2) == [[1, 1], [1, 1]]
+    assert solver._newton_mp(system, [-1, -1], ctx128) is None
 
 
 def _random_seeds(label, starts, seed):
@@ -450,6 +492,44 @@ def test_integer_solve():
         assert z is not None and (g @ np.array(z, dtype=object)).tolist() == w, (g, w, z)
     # 2 z_1 + 4 z_2 is even
     assert solver._integer_solve([[2, 4]], [1]) is None
+
+
+def _integer_solve_rebuilding_every_column(g, w):
+    """Test oracle: the column echelon solve that rebuilds every column on
+    each Euclid step, also those with a zero entry in the current row."""
+    rows, cols = len(g), len(g[0])
+    free = [list(c) + [int(i == j) for i in range(cols)] for j, c in enumerate(zip(*g))]
+    acc = [0] * (rows + cols)
+    for i in range(rows):
+        while sum(1 for c in free if c[i]) > 1:
+            p = min((c for c in free if c[i]), key=lambda c: abs(c[i]))
+            free = [c if c is p else [a - c[i] // p[i] * b for a, b in zip(c, p)] for c in free]
+        rem = w[i] - acc[i]
+        pivot = next((j for j, c in enumerate(free) if c[i]), None)
+        if rem and (pivot is None or rem % free[pivot][i]):
+            return None
+        if pivot is not None:
+            col = free.pop(pivot)
+            acc = [a + rem // col[i] * b for a, b in zip(acc, col)]
+    return acc[rows:]
+
+
+def test_integer_solve_matches_full_rebuild():
+    # the branch lattice g = [C(X) (x) 1, 1 (x) C(X')] of nahm_branch_diagnostics,
+    # on every pair with rank product <= 16 and on E8,E8, with right-hand
+    # sides in the lattice and arbitrary ones (not in it when det C > 1)
+    rng = np.random.default_rng(11)
+    outcomes = set()
+    for label in all_pairs_up_to(16) + ["E8,E8"]:
+        p = pair(label)
+        cx, cxp = (np.array(adet.cartan_matrix(d).entries, dtype=int) for d in (p.x, p.xp))
+        g = np.hstack([np.kron(cx, np.eye(len(cxp), dtype=int)),
+                       np.kron(np.eye(len(cx), dtype=int), cxp)])
+        for w in ((g @ rng.integers(-3, 4, size=g.shape[1])).tolist(), rng.integers(-3, 4, size=p.n).tolist()):
+            z = solver._integer_solve(g.tolist(), w)
+            assert z == _integer_solve_rebuilding_every_column(g.tolist(), w), (label, w)
+            outcomes.add(z is None)
+    assert outcomes == {True, False}
 
 
 def test_solution_set_json(ctx128):
