@@ -212,9 +212,11 @@ def test_lin_solve_swaps_rows():
 
 
 def test_lin_solve_refuses_singular_matrices(ctx128):
+    # the numerically singular matrix has a nonzero pivot 1e-60, far below
+    # ||a||_1 * eps; solving it would not divide by zero
     with ctx128.workprec():
         exact = [[mp.mpc(1), mp.mpc(2)], [mp.mpc(2), mp.mpc(4)]]
-        numerical = [[mp.mpc(1), mp.mpc(1)], [mp.mpc(1), 1 + mp.mpf("1e-60")]]
+        numerical = [[mp.mpc(1), mp.mpc(1)], [0, mp.mpc("1e-60")]]
         for a in (exact, numerical):
             with pytest.raises(ZeroDivisionError):
                 solver._lin_solve(a, [mp.mpc(1), mp.mpc(1)])
