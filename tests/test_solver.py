@@ -162,6 +162,41 @@ def test_positive_fixed_point_matches_float_sweep():
     assert sweeps["E7,A1"] == solver._FIXED_POINT_ITERS and sweeps["E6,A1"] < sweeps["E7,A1"]
 
 
+def _positive_fixed_point_on_mp(p):
+    """Test oracle: the positive-cone sweep on mp numbers, in the order of
+    the float oracle; returns the start and the number of sweeps made."""
+    y = [mp.mpf(1)] * p.n
+    for sweeps in range(1, solver._FIXED_POINT_ITERS + 1):
+        new = []
+        for ups, downs in p.factors:
+            num, den = mp.mpf(1), mp.mpf(1)
+            for j, m in ups:
+                num *= (1 + y[j]) ** m
+            for j, m in downs:
+                den *= (1 + 1 / y[j]) ** m
+            new.append(mp.sqrt(num / den))
+        drift = max(abs(a - b) / b for a, b in zip(new, y))
+        y = new
+        if drift < mp.mpf("1e-12"):
+            break
+    return y, sweeps
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_positive_fixed_point_matches_mp_sweep(bits):
+    # whatever the context precision, the sweep is bit for bit the sweep on
+    # mp numbers at 53 bits, the precision of a double
+    ctx = adet.PrecisionContext(bits)
+    sweeps = {}
+    for label in ("A1,A1", "A1,T1", "A1,T2", "A3,A1", "A2,A2", "D4,A1", "E6,A1", "E7,A1"):
+        with ctx.workprec():
+            got = solver._positive_fixed_point(pair(label))
+            with mp.workprec(53):
+                ref, sweeps[label] = _positive_fixed_point_on_mp(pair(label))
+        assert [v._mpf_ for v in got] == [v._mpf_ for v in ref], label
+    assert sweeps["E7,A1"] == solver._FIXED_POINT_ITERS and sweeps["E6,A1"] < sweeps["E7,A1"]
+
+
 # Newton iterations of the positive solution's polish, the same at 128 and
 # 256 bits; the crawl stop must not cut any of these runs short
 POSITIVE_ITERATIONS = {
