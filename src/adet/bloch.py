@@ -34,7 +34,7 @@ import mpmath as mp
 from mpmath import libmp
 
 from .errors import DegenerateInput
-from .precision import DEFAULT_CONTEXT, GUARD_BITS, PrecisionContext, to_mpc
+from .precision import DEFAULT_CONTEXT, GUARD_BITS, PrecisionContext, raw_mpc, to_mpc
 
 __all__ = [
     "li2",
@@ -140,11 +140,6 @@ def _li2_fixed(lz, l1, wp: int):
     return re, im, (lzr * l1i) >> wp
 
 
-def _parts(v):
-    """(re, im) of an mpf or mpc as libmp values."""
-    return v._mpc_ if isinstance(v, mp.mpc) else (v._mpf_, libmp.fzero)
-
-
 def _round(x: int, wp: int, prec: int):
     return libmp.from_man_exp(x, -wp, prec, libmp.round_nearest)
 
@@ -164,7 +159,7 @@ def li2(z, ctx: PrecisionContext = DEFAULT_CONTEXT):
     prec = ctx.mantissa_bits + 2 * GUARD_BITS
     with mp.workprec(prec):
         zz = to_mpc(z)
-        zr, zi = _parts(zz)
+        zr, zi = raw_mpc(zz)
         if zi == libmp.fzero and zr in (libmp.fzero, libmp.fone):
             return mp.pi ** 2 / 6 if zr == libmp.fone else mp.mpf(0)
     wp = prec + _FIXED_GUARD
@@ -208,8 +203,8 @@ def _relation_terms(x, y, ctx: PrecisionContext):
     """D at each argument of _RELATION_ARGUMENTS, rounded as bloch_wigner rounds."""
     wp = ctx.mantissa_bits + 2 * GUARD_BITS + _FIXED_GUARD
     with ctx.workprec():
-        xr, xi = _parts(to_mpc(x))
-        yr, yi = _parts(to_mpc(y))
+        xr, xi = raw_mpc(to_mpc(x))
+        yr, yi = raw_mpc(to_mpc(y))
     zero = (libmp.fzero, libmp.fzero)
     w = _one_minus(*libmp.mpc_mul((xr, xi), (yr, yi), wp, libmp.round_nearest), wp)
     if w == zero:

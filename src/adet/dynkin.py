@@ -13,6 +13,8 @@ Vertex numbering is fixed once and for all (0-based):
              with vertex 1 attached to vertex 3.
 
 The Kronecker index set I x I' is flattened row-major: (i, i') -> i*r' + i'.
+Exact linear algebra runs on one LDL^t (`_ldl`, `_ldl_solve`): its pivots
+decide positive definiteness, and its factors solve for C(X')^{-1}.
 """
 from __future__ import annotations
 
@@ -78,6 +80,7 @@ def parse_diagram(name: str) -> DynkinDiagram:
 
 
 def _edges(d: DynkinDiagram) -> list[tuple[int, int]]:
+    """The edges (i, j), each with i = 0 or i the second vertex of an earlier edge."""
     n = d.rank
     if d.family in ("A", "T"):
         return [(i, i + 1) for i in range(n - 1)]
@@ -86,8 +89,8 @@ def _edges(d: DynkinDiagram) -> list[tuple[int, int]]:
         if n >= 3:
             edges += [(n - 3, n - 2), (n - 3, n - 1)]
         return edges
-    # E family: chain 0-2-3-...-(n-1) plus branch vertex 1 attached to 3.
-    return [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, n - 1)]
+    # E family: chain 0-2-3-...-(n-1), then branch vertex 1 attached to 3.
+    return [(0, 2)] + [(i, i + 1) for i in range(2, n - 1)] + [(3, 1)]
 
 
 @dataclass(frozen=True)
@@ -118,31 +121,6 @@ class RationalMatrix:
         return self.rows == self.cols and all(
             self.entries[i][j] == self.entries[j][i] for i in range(self.rows) for j in range(i)
         )
-
-    def inverse(self) -> "RationalMatrix":
-        """Exact inverse by Gauss-Jordan elimination."""
-        if self.rows != self.cols:
-            raise ValueError("only square matrices can be inverted")
-        n = self.rows
-        a = [list(row) for row in self.entries]
-        b = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if pivot is None:
-                raise ZeroDivisionError("matrix is singular")
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                b[col], b[pivot] = b[pivot], b[col]
-            p = a[col][col]
-            a[col] = [v / p for v in a[col]]
-            b[col] = [v / p for v in b[col]]
-            for r in range(n):
-                if r == col or a[r][col] == 0:
-                    continue
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-                b[r] = [v - f * w for v, w in zip(b[r], b[col])]
-        return RationalMatrix(b)
 
     def kron(self, other: "RationalMatrix") -> "RationalMatrix":
         """Kronecker product, row-major in the (i, k) pair index."""
@@ -186,6 +164,18 @@ def _ldl(sym: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[Fraction
     return low, piv
 
 
+def _ldl_solve(low: list[list[Fraction]], piv: list[Fraction], b) -> list[Fraction]:
+    """Exact solution x of L D L^t x = b from the factors of _ldl: forward
+    substitution, pivot scaling and back substitution."""
+    r = len(piv)
+    x = list(b)
+    for i in range(r):
+        x[i] -= sum(low[i][k] * x[k] for k in range(i))
+    for i in reversed(range(r)):
+        x[i] = x[i] / piv[i] - sum(low[k][i] * x[k] for k in range(i + 1, r))
+    return x
+
+
 def adjacency_matrix(d: DynkinDiagram) -> RationalMatrix:
     """Adjacency matrix I(X) = 2*id - C(X); the tadpole loop adds a diagonal 1."""
     n = d.rank
@@ -227,22 +217,10 @@ def bipartition(d: DynkinDiagram) -> tuple[frozenset, frozenset]:
     if d.is_tadpole:
         full = frozenset(range(n))
         return full, full
-    neighbors = [[] for _ in range(n)]
+    # in _edges' order each edge's first vertex is coloured before its second
+    color = [0] * n
     for i, j in _edges(d):
-        neighbors[i].append(j)
-        neighbors[j].append(i)
-    color = {}
-    for start in range(n):
-        if start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in neighbors[v]:
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
+        color[j] = 1 - color[i]
     plus = frozenset(v for v in range(n) if color[v] == 0)
     minus = frozenset(v for v in range(n) if color[v] == 1)
     return plus, minus
@@ -251,22 +229,28 @@ def bipartition(d: DynkinDiagram) -> tuple[frozenset, frozenset]:
 def nahm_matrix(x: DynkinDiagram, xp: DynkinDiagram) -> RationalMatrix:
     """Exact Kronecker matrix C(X) (x) C(X')^{-1}, indexed row-major by (i, i').
 
-    The result is checked to be symmetric exactly, and positive definite
-    exactly through the LDL^t pivots of C(X) and C(X'): a Kronecker product
-    of positive-definite matrices is positive definite.  A failure signals
-    an internal wiring bug, not a user error.
+    Each Cartan matrix is checked to be symmetric, as LDL^t reads only the
+    lower triangle (and a Kronecker product of symmetric matrices is
+    symmetric), then factored once: its pivots decide positive definiteness,
+    which the Kronecker product inherits, and the factors of C(X') give its
+    inverse.  A failure signals an internal wiring bug, not a user error.
     """
-    cx, cxp = cartan_matrix(x), cartan_matrix(xp)
-    a = cx.kron(cxp.inverse())
-    if not a.is_symmetric():
-        raise AdetError(f"Kronecker matrix for ({x},{xp}) is not symmetric: indexing bug")
-    for d, c in ((x, cx), (xp, cxp)):
+    factored = []
+    for d in (x, xp):
+        c = cartan_matrix(d)
+        if not c.is_symmetric():
+            raise AdetError(f"Kronecker matrix for ({x},{xp}) is not symmetric: "
+                            f"the Cartan matrix of {d} is not symmetric")
         try:
-            _ldl(c.to_nested())
+            factored.append((c, *_ldl(c.to_nested())))
         except ValueError:
             raise AdetError(f"Kronecker matrix for ({x},{xp}) failed the positive-definiteness "
                             f"check: the Cartan matrix of {d} is not positive definite") from None
-    return a
+    (cx, _, _), (_, low, piv) = factored
+    r = xp.rank
+    # the inverse of a symmetric matrix is symmetric: its columns are its rows
+    inverse = [_ldl_solve(low, piv, [int(i == j) for i in range(r)]) for j in range(r)]
+    return cx.kron(RationalMatrix(inverse))
 
 
 @dataclass(frozen=True)

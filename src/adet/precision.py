@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import mpmath as mp
+from mpmath import libmp
 
 __all__ = ["PrecisionContext", "DEFAULT_CONTEXT"]
 
@@ -57,3 +58,8 @@ def to_mpc(value):
     # numpy scalars and anything with __complex__
     c = complex(value)
     return mp.mpf(c.real) if c.imag == 0 else mp.mpc(c.real, c.imag)
+
+
+def raw_mpc(v) -> tuple:
+    """The raw libmp (re, im) of an mpf or mpc; an mpf x becomes (x, 0)."""
+    return v._mpc_ if isinstance(v, mp.mpc) else (v._mpf_, libmp.fzero)

@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dynkin import RationalMatrix, _ldl
+from .dynkin import RationalMatrix, _ldl, _ldl_solve
 from .errors import NonIntegralExponent
 from .report import CheckRecord, VerificationReport
 
@@ -111,12 +111,7 @@ def f_abc(a, b, c, trunc: int) -> PowerSeries:
     if trunc < 0:
         raise ValueError("trunc must be nonnegative")
     low, piv = _ldl([[(amat[i][j] + amat[j][i]) / 2 for j in range(r)] for i in range(r)])
-    # x* = -S^{-1} B by forward substitution, pivot scaling and back substitution
-    xs = [Fraction(0)] * r
-    for i in range(r):
-        xs[i] = -bvec[i] - sum(low[i][k] * xs[k] for k in range(i))
-    for i in reversed(range(r)):
-        xs[i] = xs[i] / piv[i] - sum(low[k][i] * xs[k] for k in range(i + 1, r))
+    xs = _ldl_solve(low, piv, [-v for v in bvec])  # x* = -S^{-1} B
     total = [0] * (trunc + 1)
     n = [0] * r
 

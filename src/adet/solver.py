@@ -45,9 +45,9 @@ _FLOAT_DEDUP = 1e-6
 _FLOAT_DEGENERATE = 1e-6  # a float y this close to 0 or -1 in a component is degenerate
 _DEGENERATE_MARGIN = 1e-8
 
-# Damped Newton: iteration caps, the step size that ends a run, and the
-# number of step halvings tried (then the mp polish takes the step anyway,
-# and a float run ends).
+# Damped Newton: iteration caps, the step size that ends a run (for the mp
+# polish, at 128 bits; it scales as 2^-bits), and the number of step halvings
+# tried (then the mp polish takes the step anyway, and a float run ends).
 _FLOAT_MAX_ITER = 80
 _FLOAT_MIN_STEP = 1e-12
 _MP_MAX_ITER = 200
@@ -269,12 +269,12 @@ def _newton_mp(system, y0, ctx):
 
     Each step solves J dy = -r with `_lin_solve`; a numerically singular
     Jacobian ends the run with None.  The run ends converged once a step is
-    below _MP_MIN_STEP.  It ends unconverged at _MP_MAX_ITER, or once
-    _MP_CRAWL_STEPS steps in a row each fail to halve the one before: a
-    linear crawl, as toward the cleared locus 1 + y = 0, that quadratic
-    convergence to a simple root never shows.
+    below _MP_MIN_STEP * 2^(128 - bits) in a context of `bits` bits.  It
+    ends unconverged at _MP_MAX_ITER, or once _MP_CRAWL_STEPS steps in a row
+    each fail to halve the one before: a linear crawl, as toward the cleared
+    locus 1 + y = 0, that quadratic convergence to a simple root never shows.
     """
-    min_step = mp.mpf(_MP_MIN_STEP)
+    min_step = mp.ldexp(mp.mpf(_MP_MIN_STEP), 128 - ctx.mantissa_bits)
     with ctx.workprec(32):
         y = [to_mpc(v) for v in y0]
         steps = []

@@ -32,7 +32,7 @@ from mpmath import libmp
 
 from .dynkin import PairIndexing
 from .errors import DegenerateInput, DegenerateStep, WindowTooShort
-from .precision import DEFAULT_CONTEXT, GUARD_BITS, PrecisionContext, to_mpc
+from .precision import DEFAULT_CONTEXT, GUARD_BITS, PrecisionContext, raw_mpc, to_mpc
 from .report import CheckRecord, VerificationReport
 
 __all__ = [
@@ -230,11 +230,6 @@ def iterate(pair: PairIndexing, y, u_max: int, ctx: PrecisionContext = DEFAULT_C
     return YTrajectory(pair=pair, u_max=u_max, values=values, precision_bits=bits)
 
 
-def _as_mpc(v) -> tuple:
-    """The raw libmp mpc of an mp number; an mpf x becomes (x, 0)."""
-    return v._mpc_ if type(v) is mp.mpc else (v._mpf_, libmp.fzero)
-
-
 def check_periodicity(traj: YTrajectory, ctx: PrecisionContext = DEFAULT_CONTEXT) -> VerificationReport:
     """Verify Y(u + 2(h+h')) = Y(u) over the stored window, relative to |Y(u)|.
 
@@ -257,7 +252,7 @@ def check_periodicity(traj: YTrajectory, ctx: PrecisionContext = DEFAULT_CONTEXT
     if set(map(type, values.values())) == {mp.mpf}:
         raw, sub, abs_ = operator.attrgetter("_mpf_"), libmp.mpf_sub, libmp.mpf_abs
     else:
-        raw, sub, abs_ = _as_mpc, libmp.mpc_sub, libmp.mpc_abs
+        raw, sub, abs_ = raw_mpc, libmp.mpc_sub, libmp.mpc_abs
     worst = libmp.fzero
     worst_at = None
     with mp.workprec(traj.precision_bits + GUARD_BITS):

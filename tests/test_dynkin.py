@@ -16,6 +16,7 @@ from adet import (
     pair_indexing,
     parse_diagram,
 )
+from adet.dynkin import _ldl, _ldl_solve
 from adet.errors import AdetError, InvalidDiagram
 
 from conftest import all_pairs_up_to, pair
@@ -129,9 +130,9 @@ def test_nahm_matrix_values():
     assert frac_rows(nahm_matrix(parse_diagram("A1"), parse_diagram("T1"))) == [[2]]
     assert frac_rows(nahm_matrix(parse_diagram("A1"), parse_diagram("A1"))) == [[1]]
     assert frac_rows(nahm_matrix(parse_diagram("A1"), parse_diagram("T2"))) == [[2, 2], [2, 4]]
-    # derived: exact inverse of C(T2)
-    inv = cartan_matrix(parse_diagram("T2")).inverse()
-    assert frac_rows(inv) == [[1, 1], [1, 2]]
+    # derived: exact inverse of C(T2), column by column from its LDL^t
+    low, piv = _ldl(frac_rows(cartan_matrix(parse_diagram("T2"))))
+    assert [_ldl_solve(low, piv, col) for col in ([1, 0], [0, 1])] == [[1, 1], [1, 2]]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -164,21 +165,64 @@ def test_nahm_rejects_indefinite_cartan(monkeypatch):
         nahm_matrix(parse_diagram("A2"), parse_diagram("A1"))
 
 
-def test_rational_matrix_inverse_exact():
+def test_nahm_rejects_asymmetric_cartan(monkeypatch):
+    # LDL^t reads only the lower triangle, so the pivots (2, 2) of this
+    # asymmetric matrix would pass it as positive definite
+    asymmetric = RationalMatrix([[2, -1], [0, 2]])
+    assert _ldl(asymmetric.to_nested())[1] == [2, 2]
+    monkeypatch.setattr(adet.dynkin, "cartan_matrix", lambda d: asymmetric)
+    with pytest.raises(AdetError, match="not symmetric"):
+        nahm_matrix(parse_diagram("A2"), parse_diagram("A1"))
+
+
+def test_ldl_solve_exact():
+    # random symmetric positive-definite systems M = G G^t + I over Q
     rng = np.random.default_rng(3)
-    for n in (1, 2, 3, 5):
-        m = RationalMatrix(
-            [[Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5))) for _ in range(n)]
-             for _ in range(n)]
-        )
-        try:
-            inv = m.inverse()
-        except ZeroDivisionError:
-            continue
-        identity = [[int(i == j) for j in range(n)] for i in range(n)]
-        for a, b in ((m, inv), (inv, m)):
-            assert [[sum(a[i, k] * b[k, j] for k in range(n)) for j in range(n)]
-                    for i in range(n)] == identity
+    for n in (1, 2, 3, 5, 8):
+        for _ in range(4):
+            g = [[Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5))) for _ in range(n)]
+                 for _ in range(n)]
+            m = [[sum(g[i][k] * g[j][k] for k in range(n)) + int(i == j) for j in range(n)]
+                 for i in range(n)]
+            b = [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7))) for _ in range(n)]
+            x = _ldl_solve(*_ldl(m), b)
+            assert [sum(m[i][k] * x[k] for k in range(n)) for i in range(n)] == b
+
+
+def matmul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def identity(n):
+    return RationalMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("name", [name for name in SWEEP if parse_diagram(name).rank <= 8])
+def test_nahm_matrix_inverts_cartan(name):
+    # A(A1, X') = C(A1) (x) C(X')^{-1} = 2 C(X')^{-1}
+    d = parse_diagram(name)
+    product = matmul(frac_rows(cartan_matrix(d)), frac_rows(nahm_matrix(parse_diagram("A1"), d)))
+    assert product == [[2 * int(i == j) for j in range(d.rank)] for i in range(d.rank)]
+
+
+def test_nahm_matrix_solves_kron_identity():
+    # (1 (x) C(X')) (C(X) (x) C(X')^{-1}) = C(X) (x) 1 on every pair of rank product <= 16
+    for label in all_pairs_up_to(16):
+        p = pair(label)
+        cx, cxp = cartan_matrix(p.x), cartan_matrix(p.xp)
+        lhs = matmul(frac_rows(identity(p.r).kron(cxp)), frac_rows(nahm_matrix(p.x, p.xp)))
+        assert lhs == frac_rows(cx.kron(identity(p.rp))), label
+
+
+@pytest.mark.parametrize("name", SWEEP)
+def test_edges_colour_in_one_walk(name):
+    # bipartition colours in one pass over _edges: each edge's first vertex
+    # is 0 or the second vertex of an earlier edge, and no vertex is coloured twice
+    seen = {0}
+    for i, j in adet.dynkin._edges(parse_diagram(name)):
+        assert i in seen and j not in seen, (i, j)
+        seen.add(j)
 
 
 def test_rational_matrix_kron_entries():

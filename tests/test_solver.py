@@ -197,20 +197,31 @@ def test_positive_fixed_point_matches_mp_sweep(bits):
     assert sweeps["E7,A1"] == solver._FIXED_POINT_ITERS and sweeps["E6,A1"] < sweeps["E7,A1"]
 
 
-# Newton iterations of the positive solution's polish, the same at 128 and
-# 256 bits; the crawl stop must not cut any of these runs short
+# Newton iterations of the positive solution's polish; the crawl stop must
+# not cut any of these runs short.  The step that ends a run scales as
+# 2^-bits, so at 256 bits each run of 3 iterations takes a fourth
 POSITIVE_ITERATIONS = {
-    "A1,A1": 1, "A1,T1": 3, "A1,T2": 3, "A2,A1": 3, "A2,T1": 1,
-    "A1,A2": 3, "A3,A1": 3, "T1,T1": 1, "D4,A1": 3, "E6,A1": 3,
+    128: {"A1,A1": 1, "A1,T1": 3, "A1,T2": 3, "A2,A1": 3, "A2,T1": 1,
+          "A1,A2": 3, "A3,A1": 3, "T1,T1": 1, "D4,A1": 3, "E6,A1": 3},
+    256: {"A1,A1": 1, "A1,T1": 4, "A1,T2": 4, "A2,A1": 4, "A2,T1": 1,
+          "A1,A2": 4, "A3,A1": 4, "T1,T1": 1, "D4,A1": 4, "E6,A1": 4},
 }
 
 
 @pytest.mark.parametrize("bits", [128, 256])
 def test_solve_positive_iterations_unchanged(bits):
     ctx = adet.PrecisionContext(bits)
-    got = {label: solve_positive(pair(label), ctx).newton for label in POSITIVE_ITERATIONS}
+    got = {label: solve_positive(pair(label), ctx).newton for label in POSITIVE_ITERATIONS[bits]}
     assert all(info["converged"] for info in got.values())
-    assert {label: info["iterations"] for label, info in got.items()} == POSITIVE_ITERATIONS
+    assert {label: info["iterations"] for label, info in got.items()} == POSITIVE_ITERATIONS[bits]
+
+
+@pytest.mark.parametrize("label", ["D4,A1", "E6,A1"])
+def test_solve_positive_residual_scales_with_precision(label):
+    # 512 bits resolve about 1e-154; a step stop that ignores the precision ends near 1e-84
+    sol = solve_positive(pair(label), adet.PrecisionContext(512))
+    assert sol.newton["converged"]
+    assert sol.residual <= 1e-140
 
 
 def test_newton_mp_stops_on_a_crawl(ctx128):
