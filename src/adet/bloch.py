@@ -27,7 +27,7 @@ working precision.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
@@ -44,6 +44,7 @@ __all__ = [
     "xi_D",
     "torsion_check",
     "rogers_L",
+    "central_charge_at",
     "central_charge_probe",
     "CentralChargeProbe",
     "TORSION_TOLERANCE",
@@ -297,22 +298,25 @@ def rogers_L(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
 @dataclass(frozen=True)
 class CentralChargeProbe:
     pair: str
-    value: object          # mpf: sum_i L(x_i) / L(1) at the positive solution
+    value: object          # mpf: sum_i L(x_i) / L(1) at the solution evaluated
     rational: Fraction
     error: object          # mpf: |value - rational|
-    solution: object = field(compare=False)  # the positive Solution evaluated
 
 
-def central_charge_probe(pair, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CentralChargeProbe:
-    """Evaluate sum_i L(x_i)/L(1) at the all-positive solution against the
-    exact central charge c = r r' h / (h + h')."""
-    from .solver import solve_positive  # deferred: keeps this module import-light
-
-    sol = solve_positive(pair, ctx)
+def central_charge_at(pair, solution, ctx: PrecisionContext) -> CentralChargeProbe:
+    """Evaluate sum_i L(x_i)/L(1) at a solution with every x_i in (0, 1)
+    against the exact central charge c = r r' h / (h + h')."""
     frac = Fraction(pair.r * pair.rp * pair.h, pair.h + pair.hp)
     with ctx.workprec():
         l_one = mp.pi ** 2 / 6
-        total = mp.fsum(rogers_L(mp.re(x), ctx) for x in sol.x)
+        total = mp.fsum(rogers_L(mp.re(x), ctx) for x in solution.x)
         value = total / l_one
         err = abs(value - mp.mpf(frac.numerator) / frac.denominator)
-    return CentralChargeProbe(pair=pair.label, value=value, rational=frac, error=err, solution=sol)
+    return CentralChargeProbe(pair=pair.label, value=value, rational=frac, error=err)
+
+
+def central_charge_probe(pair, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CentralChargeProbe:
+    """`central_charge_at` the all-positive solution of `solve_positive`."""
+    from .solver import solve_positive  # deferred: keeps this module import-light
+
+    return central_charge_at(pair, solve_positive(pair, ctx), ctx)

@@ -17,7 +17,7 @@ import mpmath as mp
 import numpy as np
 
 from . import bloch, qseries, solver, verify, ysystem
-from .dynkin import _ldl, cartan_matrix, nahm_matrix, pair_indexing, parse_diagram
+from .dynkin import _ldl, cartan_matrix, pair_indexing, parse_diagram
 from .errors import AdetError, NonIntegralExponent
 from .precision import PrecisionContext
 from .report import CheckRecord, VerificationReport
@@ -205,14 +205,12 @@ def _definite_record(*matrices) -> CheckRecord:
 
 def _cmd_matrix(args) -> VerificationReport:
     pair = args.pair
-    a = nahm_matrix(pair.x, pair.xp)
+    a = pair.nahm
     for row in a.entries:
         print("[" + " ".join(str(v) for v in row) + "]")
-    asymmetric = sum(a[i, j] != a[j, i] for i in range(a.rows) for j in range(a.cols))
     # a Kronecker product of positive-definite matrices is positive definite,
     # so A = C(X) (x) C(X')^{-1} is decided from its two Cartan factors
-    records = (CheckRecord.make("asymmetric entries of A (exact)", asymmetric, 1),
-               _definite_record(*(cartan_matrix(d).entries for d in (pair.x, pair.xp))))
+    records = (_definite_record(*(cartan_matrix(d).entries for d in (pair.x, pair.xp))),)
     return VerificationReport("matrix", {"pair": pair.label, "matrix": a.to_json_obj()},
                               records, args.seed, args.precision_bits)
 
@@ -266,7 +264,11 @@ _DILOGSUM = ("|sum d D(f)| over S+",
 
 def _torsion_records(pair, ctx, rng, count, tol_scale, seed) -> list:
     """One torsion record per solution of a multistart search of `count` starts."""
-    sols = _solve_all(pair, ctx, count, seed)
+    return _torsion_of(_solve_all(pair, ctx, count, seed), ctx, tol_scale)
+
+
+def _torsion_of(sols, ctx, tol_scale) -> list:
+    """One torsion record per solution of the set."""
     tol = bloch.TORSION_TOLERANCE * tol_scale
     return [CheckRecord.make(f"|sum D(x)| for solution {i}", residual, tol)
             for i, residual in enumerate(bloch.torsion_check(sols, ctx))]
@@ -402,18 +404,19 @@ def _cmd_report(args) -> VerificationReport:
     rng = np.random.default_rng(args.seed)
     pair = args.pair
     records = []
-    meta = {"pair": pair.label, "matrix": nahm_matrix(pair.x, pair.xp).to_json_obj()}
+    meta = {"pair": pair.label, "matrix": pair.nahm.to_json_obj()}
 
-    probe = bloch.central_charge_probe(pair, ctx)
-    records.append(CheckRecord.make("positive solution residual", probe.solution.residual,
+    # one solution set, read by the positive, central-charge and torsion records
+    sols = _solve_all(pair, ctx, args.starts, args.seed)
+    records.append(CheckRecord.make("positive solution residual", sols.positive.residual,
                                     ctx.tau_res * args.tol_scale))
+    probe = bloch.central_charge_at(pair, sols.positive, ctx)
     meta["central_charge"] = str(probe.rational)
     records.append(CheckRecord.make(f"central-charge probe vs {probe.rational}", probe.error,
                                     1e-20 * args.tol_scale))
 
-    torsion = FAMILIES["torsion"].records(pair, ctx, rng, args.starts, args.tol_scale, args.seed)
-    meta["solutions_found"] = len(torsion)
-    records += torsion
+    meta["solutions_found"] = len(sols.solutions)
+    records += _torsion_of(sols, ctx, args.tol_scale)
     records += FAMILIES["periodicity"].records(pair, ctx, rng, args.seeds, args.tol_scale, args.seed)
     # wedge and dilogsum at one shared draw of points
     records += _point_records((_WEDGE, _DILOGSUM), pair, ctx, rng, args.points, args.tol_scale, args.seed)

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 import numpy as np
 
@@ -264,6 +265,7 @@ class PairIndexing:
     d         : folding multiplicity on S+; 2 for tadpole-tadpole pairs, else 1.
     ix, ixp   : adjacency rows (loops included) used by the Y-system recurrence.
     factors   : the recurrence's right-hand side per index, derived from ix/ixp.
+    nahm, lattice: the Nahm matrix A of (x, xp) and its integer branch data.
     """
 
     x: DynkinDiagram
@@ -333,6 +335,19 @@ class PairIndexing:
              tuple((i * rp + jp, m) for jp, m in enumerate(self.ixp[ip]) if m))
             for i, ip in self.indices
         )
+
+    @cached_property
+    def nahm(self) -> RationalMatrix:
+        """nahm_matrix(x, xp), built on first use."""
+        return nahm_matrix(self.x, self.xp)
+
+    @cached_property
+    def lattice(self) -> tuple:
+        """(g, den): the integer rows [C(X) (x) 1 | 1 (x) C(X')] and the lcm of A's denominators."""
+        cx, cxp = (np.array(cartan_matrix(d).entries, dtype=int) for d in (self.x, self.xp))
+        g = np.hstack([np.kron(cx, np.eye(self.rp, dtype=int)),
+                       np.kron(np.eye(self.r, dtype=int), cxp)])
+        return tuple(map(tuple, g.tolist())), lcm(*(v.denominator for row in self.nahm.entries for v in row))
 
 
 def pair_indexing(x: DynkinDiagram, xp: DynkinDiagram) -> PairIndexing:

@@ -19,12 +19,12 @@ step in the positive cone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm, sqrt
+from math import sqrt
 
 import mpmath as mp
 import numpy as np
 
-from .dynkin import PairIndexing, cartan_matrix, nahm_matrix
+from .dynkin import PairIndexing
 from .errors import NoConvergence, PoleInput
 from .precision import DEFAULT_CONTEXT, PrecisionContext, to_mpc
 from .ysystem import _next_level, _table, constant_residual
@@ -352,12 +352,16 @@ class Solution:
 
 @dataclass
 class SolutionSet:
+    """The solutions `solve_all` found, in a fixed order.  positive is the
+    Solution of `solve_positive`, whose root the set holds; not serialised."""
+
     pair: str
     solutions: tuple
     dedup_tol: float
     starts: int
     seed: int
     meta: dict
+    positive: Solution | None
 
     def to_json_obj(self) -> dict:
         return {
@@ -415,11 +419,8 @@ def nahm_branch_diagnostics(pair: PairIndexing, x, ctx: PrecisionContext = DEFAU
     branch_ok needs the defect and delta_imag = max |Im delta|, the modulus
     half of the equation, both below 1e-12.
     """
-    a = nahm_matrix(pair.x, pair.xp)
+    a, (g, den) = pair.nahm, pair.lattice
     n = pair.n
-    cx, cxp = (np.array(cartan_matrix(d).entries, dtype=int) for d in (pair.x, pair.xp))
-    g = np.hstack([np.kron(cx, np.eye(len(cxp), dtype=int)),
-                   np.kron(np.eye(len(cx), dtype=int), cxp)]).tolist()
     with ctx.workprec():
         af = [[mp.mpf(a[i, j].numerator) / a[i, j].denominator for j in range(n)] for i in range(n)]
         logs = [mp.log(1 - to_mpc(v)) for v in x]
@@ -433,7 +434,6 @@ def nahm_branch_diagnostics(pair: PairIndexing, x, ctx: PrecisionContext = DEFAU
                                for i in range(n)])
         k, defect = None, mp.inf
         if z is not None:
-            den = lcm(*(v.denominator for row in a.entries for v in row))
             k = tuple(v % den for v in z[:n])
             rest = [dre[i] - mp.fsum(af[i][j] * k[j] for j in range(n)) for i in range(n)]
             defect = max(abs(v - mp.nint(v)) for v in rest)
@@ -533,10 +533,11 @@ def solve_all(pair: PairIndexing, budget: SearchBudget | None = None,
     theta uniform in [0, 2*pi).  All starts run as one batch of complex128
     damped Newton (`_newton_batch`); each row rounds as it would in a
     one-row batch.  Converged float candidates are deduplicated and go
-    through `_polish`, joined by the all-positive solution (polished from
-    the same fixed-point start as `solve_positive`), closed under complex
+    through `_polish`, joined by the all-positive solution of
+    `solve_positive` if no start reached it, closed under complex
     conjugation, and deduplicated again at max-norm tolerance 1e-10.
-    Determined entirely by (starts, seed, ctx) on a given numpy build.
+    `solve_positive` raising NoConvergence raises here.  Determined entirely
+    by (starts, seed, ctx) on a given numpy build.
     """
     budget = budget or SearchBudget()
     if pair.n > RANK_CAP:
@@ -565,9 +566,11 @@ def solve_all(pair: PairIndexing, budget: SearchBudget | None = None,
 
     polished: list[list] = []  # [y_mp(list), count, residual, info]
 
-    def _merge(found, count):
-        """Add found = (y, residual, info), or count to an entry already at y."""
+    def _merge(y0, count):
+        """Polish y0; add the root, or count to an entry already at it."""
+        found = _polish(pair, system, y0, ctx)
         if found is None:
+            stats["polish_rejections"] += 1
             return
         y, residual, info = found
         for entry in polished:
@@ -581,31 +584,26 @@ def solve_all(pair: PairIndexing, budget: SearchBudget | None = None,
     def _is_new(y):
         return all(max(abs(a - b) for a, b in zip(entry[0], y)) >= DEDUP_TOL for entry in polished)
 
-    def _polished(y0):
-        found = _polish(pair, system, y0, ctx)
-        if found is None:
-            stats["polish_rejections"] += 1
-        return found
-
     with ctx.workprec(32):
         for root, count in reps:
-            _merge(_polished(list(root)), count)
+            _merge(list(root), count)
 
         # The all-positive solution always exists; add it if no basin reached
         # it, leaving an entry that already holds it untouched.
-        found = _polished(_positive_fixed_point(pair))
-        if found is not None and _is_new(found[0]):
-            polished.append([found[0], 1, *found[1:]])
+        positive = solve_positive(pair, ctx)
+        if _is_new(positive.y):
+            polished.append([positive.y, 1, positive.residual, positive.newton])
 
         # Conjugate closure: the defining polynomials are real, so the conjugate
         # of every root is a root; polish it in case its basin was missed.
         for entry in list(polished):
             conj = [mp.conj(v) for v in entry[0]]
             if _is_new(conj):
-                _merge(_polished(conj), 1)
+                _merge(conj, 1)
 
         polished.sort(key=lambda e: [(float(mp.re(v)), float(mp.im(v))) for v in e[0]])
-        solutions = tuple(_solution(pair, y, residual, count, info, ctx)
+        # an entry that still holds positive.y is the positive Solution itself
+        solutions = tuple(positive if y is positive.y else _solution(pair, y, residual, count, info, ctx)
                           for y, count, residual, info in polished)
     return SolutionSet(pair=pair.label, solutions=solutions, dedup_tol=DEDUP_TOL,
-                       starts=budget.starts, seed=budget.seed, meta=stats)
+                       starts=budget.starts, seed=budget.seed, meta=stats, positive=positive)

@@ -1,10 +1,11 @@
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 
-from adet import PrecisionContext, central_charge_probe, cli, nahm_matrix, parse_diagram, solver
+from adet import PrecisionContext, cli, nahm_matrix, parse_diagram, solver
 from adet.cli import run
 from adet.report import CheckRecord, VerificationReport
 
@@ -23,8 +24,7 @@ def test_matrix_json_roundtrip(tmp_path, capsys):
     assert obj["passed"]
     assert obj["metadata"]["matrix"]["entries"] == [["2", "2"], ["2", "4"]]
     matrix = nahm_matrix(parse_diagram("A1"), parse_diagram("T2"))
-    records = (CheckRecord.make("asymmetric entries of A (exact)", 0, 1),
-               CheckRecord.make("positive definite (exact LDL^t pivots)", 0, 1))
+    records = (CheckRecord.make("positive definite (exact LDL^t pivots)", 0, 1),)
     rep = VerificationReport("matrix", {"pair": "A1,T2", "matrix": matrix.to_json_obj()}, records,
                              0, 128, obj["wall_time_s"])
     assert rep.to_json_obj() == obj
@@ -165,27 +165,56 @@ def test_report_aggregates(tmp_path, capsys):
     assert "PASS" in out
 
 
-def test_report_solves_positive_once(tmp_path, monkeypatch, capsys):
-    # the central-charge probe hands its positive solution to the residual record
+def _count_calls(monkeypatch, fn):
+    """The argument tuples of every call to fn during the test, through any
+    adet module that holds it under any name."""
     calls = []
-    solve_positive = solver.solve_positive
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return solve_positive(*args, **kwargs)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "solve_positive", counted)
+    for name, mod in list(sys.modules.items()):
+        if name == "adet" or name.startswith("adet."):
+            for attr in [a for a, v in vars(mod).items() if v is fn]:
+                monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_report_solves_positive_once(tmp_path, monkeypatch, capsys):
+    # one solution set per report: the positive start is swept and polished
+    # once, and the set's positive Solution feeds the residual record
+    sweeps = _count_calls(monkeypatch, solver._positive_fixed_point)
+    sets = []
+    solve_all = solver.solve_all
+
+    def kept(*args, **kwargs):
+        sets.append(solve_all(*args, **kwargs))
+        return sets[-1]
+
+    monkeypatch.setattr(solver, "solve_all", kept)
     path = tmp_path / "r.json"
     assert run(["--json", str(path), "report", "--pair", "A1,T1", "--starts", "200",
                 "--points", "1", "--seeds", "1"]) == 0
     capsys.readouterr()
-    assert len(calls) == 1
-    ctx = PrecisionContext()
-    probe = central_charge_probe(calls[0][0], ctx)
+    assert len(sweeps) == 1 and len(sets) == 1
+    sols = sets[0]
+    assert any(max(abs(a - b) for a, b in zip(s.y, sols.positive.y)) < sols.dedup_tol
+               for s in sols.solutions)
     record = next(r for r in json.loads(path.read_text())["records"]
                   if r["name"] == "positive solution residual")
     assert record == CheckRecord.make(
-        "positive solution residual", probe.solution.residual, ctx.tau_res).to_json_obj()
+        "positive solution residual", sols.positive.residual, PrecisionContext().tau_res).to_json_obj()
+
+
+@pytest.mark.parametrize("label", ["A1,T1", "A2,T1", "E6,A1"])
+def test_report_builds_the_nahm_matrix_once(label, monkeypatch, capsys):
+    # the metadata and the branch diagnostics of every solution read one A
+    calls = _count_calls(monkeypatch, nahm_matrix)
+    assert run(["--seed", "1", "report", "--pair", label, "--starts", "200",
+                "--points", "3", "--seeds", "3"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 # report's counts, one per count flag of the check-family table
@@ -261,8 +290,7 @@ def test_empty_report_fails():
 
 
 @pytest.mark.parametrize("argv, names", [
-    (["matrix", "--pair", "A1,T1"],
-     ["asymmetric entries of A (exact)", "positive definite (exact LDL^t pivots)"]),
+    (["matrix", "--pair", "A1,T1"], ["positive definite (exact LDL^t pivots)"]),
     (["qseries", "custom", "--matrix", "[[2]]", "--N", "10"],
      ["positive definite (exact LDL^t pivots)"]),
 ])

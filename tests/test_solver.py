@@ -17,6 +17,7 @@ from adet import (
 )
 from adet import solver
 from adet.errors import PoleInput
+from adet.verify import perturbed_pair
 
 from conftest import ACCEPT_PAIRS, all_pairs_up_to, pair, step
 
@@ -462,6 +463,21 @@ def test_solve_all_dedup_separation(ctx128):
                 assert max(abs(u - v) for u, v in zip(a.y, b.y)) > sols.dedup_tol
 
 
+def test_solve_all_holds_the_positive_solution(ctx128):
+    # the positive root comes from solve_positive; when no start reaches it
+    # (E6,A1 at one start, seed 1), that same Solution is the set's entry
+    p = pair("E6,A1")
+    sols = solve_all(p, SearchBudget(starts=1, seed=1), ctx128)
+    assert sols.positive == solve_positive(p, ctx128)
+    assert len(sols.solutions) == 1 and sols.solutions[0] is sols.positive
+    assert "positive" not in sols.to_json_obj()
+    # a start reached it on A1,T1: the entry polished from that start stays
+    sols = solve_all(pair("A1,T1"), SearchBudget(starts=200, seed=1), ctx128)
+    near = [s for s in sols.solutions
+            if max(abs(a - b) for a, b in zip(s.y, sols.positive.y)) < sols.dedup_tol]
+    assert len(near) == 1 and near[0] is not sols.positive
+
+
 def test_solve_all_rank_cap():
     assert solver.RANK_CAP == 6
     with pytest.raises(ValueError, match="search cap 6"):
@@ -529,6 +545,22 @@ def test_branch_diagnostics_phase_nudge_fails(label, ctx128):
         assert branch["branch_defect"] < 1e-12 and 1e-8 < branch["delta_imag"] < 1e-6, (label, branch)
 
 
+def test_branch_diagnostics_read_the_diagrams_of_a_perturbed_pair(ctx128):
+    # A, the branch lattice and the lcm of A's denominators are built once per
+    # PairIndexing from the diagrams X and X'.  A copy made with
+    # dataclasses.replace builds its own, and a bumped recurrence exponent,
+    # which changes ix but not the diagrams, leaves every diagnostic as it is.
+    p = pair("A2,A1")
+    bumped = perturbed_pair(p, "x", 0, 1)
+    assert bumped.ix != p.ix and bumped.nahm is not p.nahm
+    assert bumped.nahm == p.nahm == adet.nahm_matrix(p.x, p.xp)
+    assert bumped.lattice == p.lattice
+    sols = solve_all(p, SearchBudget(starts=400, seed=0), ctx128)
+    assert len(sols.solutions) == 2
+    for s in sols.solutions:
+        assert solver.nahm_branch_diagnostics(bumped, s.x, ctx128) == s.branch
+
+
 def test_integer_solve():
     rng = np.random.default_rng(7)
     for _ in range(300):
@@ -573,6 +605,7 @@ def test_integer_solve_matches_full_rebuild():
         cx, cxp = (np.array(adet.cartan_matrix(d).entries, dtype=int) for d in (p.x, p.xp))
         g = np.hstack([np.kron(cx, np.eye(len(cxp), dtype=int)),
                        np.kron(np.eye(len(cx), dtype=int), cxp)])
+        assert [list(row) for row in p.lattice[0]] == g.tolist(), label
         for w in ((g @ rng.integers(-3, 4, size=g.shape[1])).tolist(), rng.integers(-3, 4, size=p.n).tolist()):
             z = solver._integer_solve(g.tolist(), w)
             assert z == _integer_solve_rebuilding_every_column(g.tolist(), w), (label, w)
