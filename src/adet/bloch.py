@@ -5,11 +5,12 @@ log|1-z|, arg z and arg(1-z) once from mpmath's libmp and evaluates Li_2 by
 the Bernoulli series in u = -log(1-w) (Zagier, "The dilogarithm function",
 2007): at w = z while |u| <= 1, otherwise at whichever of w = z, 1-z
 (reflection), 1/z (inversion) has the smallest |u|, which is at most pi/3
-(reached at exp(+-i pi/3)).  So |u| <= 1, and at 128 bits the series needs
-at most 38 terms; its coefficients are cached per working precision.  On the
-cut [1, oo) the limit from the lower half-plane
-is used: with arg(1-x) = pi for x > 1 this is exactly the convention making
-the Bloch-Wigner function vanish on the real line.
+(reached at exp(+-i pi/3)).  So |u| <= pi/3, and at 128 bits the series needs
+at most 38 terms, with real coefficients cached per working precision: a
+real second-order recurrence in (u / 2 pi)^2 sums it at two products a term
+(Knuth, TAOCP vol. 2, 4.6.4).  On the cut [1, oo) the limit from the lower
+half-plane is used: with arg(1-x) = pi for x > 1 this is exactly the
+convention making the Bloch-Wigner function vanish on the real line.
 
 D(z) = Im Li_2(z) + log|z| * arg(1-z) is single-valued, real-analytic off
 {0, 1}, and satisfies D(conj z) = -D(z), the two-term relations
@@ -27,6 +28,7 @@ working precision.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -90,12 +92,24 @@ def _logs(r, i, wp: int):
     return _log_fixed(r, i, wp), _log_fixed(*_one_minus(r, i, wp), wp)
 
 
+def _series(zr, zi, n: int, wp: int):
+    """p(s) = sum_{k < n} c_k s^k at s = zr + i*zi, scaled by 2^wp, as _li2_fixed says."""
+    coeffs = _series_coeffs(n, wp)[:n] or [0]
+    t, m = 2 * zr, (zr * zr + zi * zi) >> wp
+    b1 = b2 = 0
+    for c in reversed(coeffs[1:]):
+        b1, b2 = c + ((t * b1 - m * b2) >> wp), b1
+    return coeffs[0] + ((zr * b1 - m * b2) >> wp), (zi * b1) >> wp
+
+
 def _li2_fixed(lz, l1, wp: int):
     """(Re Li_2(z), Im Li_2(z), log|z| arg(1-z)) scaled by 2^wp, from
     lz = log z and l1 = log(1-z) as _log_fixed gives them, z not 0 or 1.
 
-    Li_2(w) = u - u^2/4 + sum_{k even >= 2} B_k u^(k+1) / (k+1)!, u = -log(1-w),
-    runs by Horner in v^2, v = u / (2 pi), with the term count fixed from |v|.
+    Li_2(w) = u - u^2/4 + v^3 p(v^2), u = -log(1-w), v = u / (2 pi), where
+    p(s) = sum_{k < n} c_k s^k, c_k = B_(2k+2) (2 pi)^(2k+3) / (2k+3)!, n fixed
+    from |v|.  _series divides p by (t - s)(t - conj s): b_k = c_k + 2 Re s b_(k+1)
+    - |s|^2 b_(k+2) for k = n-1 down to 1, then p(s) = c_0 + s b_1 - |s|^2 b_2.
     On the real line the chosen |u| is at most 1, while a w on the cut
     [1, oo) would have |Im u| = pi, so w never lands on the cut.
     """
@@ -115,14 +129,13 @@ def _li2_fixed(lz, l1, wp: int):
     two_pi = 2 * pi
     vr, vi = (ur << wp) // two_pi, (ui << wp) // two_pi
     v2r, v2i = (vr * vr - vi * vi) >> wp, (2 * vr * vi) >> wp
-    # |u| <= 1 makes |v|^2 < 2^-d with d = wp - q.bit_length() >= 5; every
+    # |u| <= pi/3 makes |v|^2 < 2^-d with d = wp - q.bit_length() >= 5; every
     # coefficient is below 7 in size, so the terms past the first
-    # (wp + 3) / d sum to under 2^-wp
+    # (wp + 3) / d sum to under 2^-wp.  An error in b_j reaches b_k at most
+    # (j-k+1) |s|^(j-k) times, |s| = |v|^2 <= 1/36 < 0.028: none is amplified
     q = (vr * vr + vi * vi) >> wp
     n = -(-(wp + 3) // (wp - q.bit_length())) if q else 0
-    sr = si = 0
-    for c in reversed(_series_coeffs(n, wp)[:n]):
-        sr, si = ((sr * v2r - si * v2i) >> wp) + c, (sr * v2i + si * v2r) >> wp
+    sr, si = _series(v2r, v2i, n, wp)
     v3r, v3i = (v2r * vr - v2i * vi) >> wp, (v2r * vi + v2i * vr) >> wp
     br = ur - ((ur * ur - ui * ui) >> (wp + 2)) + ((sr * v3r - si * v3i) >> wp)
     bi = ui - ((ur * ui) >> (wp + 1)) + ((sr * v3i + si * v3r) >> wp)
@@ -203,9 +216,8 @@ _RELATION_ARGUMENTS = (
 def _relation_terms(x, y, ctx: PrecisionContext):
     """D at each argument of _RELATION_ARGUMENTS, rounded as bloch_wigner rounds."""
     wp = ctx.mantissa_bits + 2 * GUARD_BITS + _FIXED_GUARD
-    with ctx.workprec():
-        xr, xi = raw_mpc(to_mpc(x))
-        yr, yi = raw_mpc(to_mpc(y))
+    xr, xi = raw_mpc(to_mpc(x))
+    yr, yi = raw_mpc(to_mpc(y))
     zero = (libmp.fzero, libmp.fzero)
     w = _one_minus(*libmp.mpc_mul((xr, xi), (yr, yi), wp, libmp.round_nearest), wp)
     if w == zero:
@@ -213,13 +225,6 @@ def _relation_terms(x, y, ctx: PrecisionContext):
     letters = ((xr, xi), (yr, yi), _one_minus(xr, xi, wp), _one_minus(yr, yi, wp), w)
     logs = [None if letter == zero else _log_fixed(*letter, wp) for letter in letters]
     pi = libmp.pi_fixed(wp)
-
-    def log_of(factors, half_turns, top):
-        """The sum of letter logarithms, its imaginary part in (top - 2 pi, top]."""
-        re = sum(e * logs[k][0] for k, e in factors)
-        im = sum(e * logs[k][1] for k, e in factors) + half_turns * pi
-        return re, im + 2 * pi * ((top - im) // (2 * pi))
-
     terms = []
     for z, one_minus_z, half_turns in _RELATION_ARGUMENTS:
         # D vanishes at z = 0, 1, oo (a zero letter) and on the real line
@@ -227,13 +232,18 @@ def _relation_terms(x, y, ctx: PrecisionContext):
                 or all(letters[k][1] == libmp.fzero for k, _ in z)):
             terms.append(mp.mpf(0))
             continue
-        lz = log_of(z, 0, pi)
-        # Im(1-z) = -Im z, so arg(1-z) takes the sign opposite to arg z, as
-        # the kernel reads the side of the cut (upper iff arg z > 0).  A sum
-        # rounded across +-pi would pair the two sides, and just above or
-        # below (1, oo) put D off by 2 pi log|z|
-        l1 = log_of(one_minus_z, half_turns, pi // 2 if lz[1] > 0 else 3 * pi // 2)
-        _, im, d_term = _li2_fixed(lz, l1, wp)
+        lzr, lzi, l1r, l1i = 0, 0, 0, half_turns * pi
+        for k, e in z:
+            lzr, lzi = lzr + e * logs[k][0], lzi + e * logs[k][1]
+        for k, e in one_minus_z:
+            l1r, l1i = l1r + e * logs[k][0], l1i + e * logs[k][1]
+        # arg z into (-pi, pi].  Im(1-z) = -Im z, so arg(1-z) takes the sign
+        # opposite to arg z, as the kernel reads the side of the cut (upper iff
+        # arg z > 0).  A sum rounded across +-pi would pair the two sides, and
+        # just above or below (1, oo) put D off by 2 pi log|z|
+        lzi += 2 * pi * ((pi - lzi) // (2 * pi))
+        l1i += 2 * pi * (((pi // 2 if lzi > 0 else 3 * pi // 2) - l1i) // (2 * pi))
+        _, im, d_term = _li2_fixed((lzr, lzi), (l1r, l1i), wp)
         terms.append(mp.make_mpf(_round(im + d_term, wp, ctx.mantissa_bits + GUARD_BITS)))
     return terms
 
@@ -254,12 +264,13 @@ def relation_residuals(x, y, ctx: PrecisionContext = DEFAULT_CONTEXT):
     there, except where Im z is positive but below the fixed-point
     resolution just above the cut (1, oo): there the two may read the cut
     from opposite sides, each consistently, and D, continuous across it,
-    agrees to rounding.
+    agrees to rounding.  Sums round left to right at mantissa_bits + GUARD_BITS.
     1 - xy = 0 raises DegenerateInput.
     """
-    d_x, d_w, d_y, d_a, d_b, d_1x, d_inv = _relation_terms(x, y, ctx)
-    with ctx.workprec():
-        return abs(d_x + d_w + d_y + d_a + d_b), abs(d_x + d_1x), abs(d_x + d_inv)
+    d_x, d_w, d_y, d_a, d_b, d_1x, d_inv = (d._mpf_ for d in _relation_terms(x, y, ctx))
+    add = functools.partial(libmp.mpf_add, prec=ctx.mantissa_bits + GUARD_BITS, rnd=libmp.round_nearest)
+    sums = functools.reduce(add, (d_w, d_y, d_a, d_b), d_x), add(d_x, d_1x), add(d_x, d_inv)
+    return tuple(mp.make_mpf(libmp.mpf_abs(s)) for s in sums)
 
 
 # no caller in the library: perfbench/tracing.py patches it by name

@@ -278,10 +278,9 @@ def _fiveterm_records(pair, ctx, rng, count, tol_scale, seed) -> list:
     # scales with the unit roundoff 2^-bits: 1e-30 at 128 bits
     tol = 1e-30 * 2.0 ** (128 - ctx.mantissa_bits) * tol_scale
     worst_five = worst_refl = worst_inv = mp.mpf(0)
-    for _ in range(count):
-        r = 2 * np.sqrt(rng.uniform(0, 1, 2))
-        t = rng.uniform(0, 2 * np.pi, 2)
-        x, y = (r * np.exp(1j * t)).tolist()
+    u = rng.random((count, 4))  # per point uniform(0, 1, 2), then uniform(0, 2 pi, 2)
+    r, t = 2 * np.sqrt(u[:, :2]), 2 * np.pi * u[:, 2:]
+    for x, y in (r * np.exp(1j * t)).tolist():
         five, refl, inv = bloch.relation_residuals(x, y, ctx)
         worst_five = max(worst_five, five)
         if x != 0:

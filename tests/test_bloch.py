@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 from fractions import Fraction
 
@@ -109,6 +110,41 @@ def test_bloch_wigner_kernel_edge_points(bits):
             assert abs(bloch_wigner(z, ctx) - ref) < KERNEL_TOL[bits], (bits, z)
 
 
+# _kernel_digest() as recorded while the series ran by complex Horner
+KERNEL_DIGEST = "566d77e1e86d9aa6b3e2aca05789b6751e7a03245986af4ec709e9ea06b09493"
+
+
+def _raw(v):
+    """The exact libmp tuples of an mpf or mpc, mantissas as Python ints."""
+    parts = v._mpc_ if isinstance(v, mp.mpc) else (v._mpf_,)
+    return tuple((sign, int(man), exp, bc) for sign, man, exp, bc in parts)
+
+
+def _kernel_digest():
+    """sha256 over the exact outputs of li2, bloch_wigner and
+    relation_residuals at 128 and 256 bits, on KERNEL_POINTS, EXTREME_POINTS
+    and 300 five-term points.  The raw tuples are hashed, not repr of the mp
+    numbers, which shows only 17 digits."""
+    rng = np.random.default_rng(27)
+    r, t = 2 * np.sqrt(rng.random((300, 2))), 2 * np.pi * rng.random((300, 2))
+    pairs = (r * np.exp(1j * t)).tolist()
+    edge = KERNEL_POINTS + EXTREME_POINTS
+    digest = hashlib.sha256()
+    for bits in (128, 256):
+        ctx = PrecisionContext(mantissa_bits=bits)
+        for z in edge + [z for p in pairs for z in p]:
+            digest.update(repr((_raw(li2(z, ctx)), _raw(bloch_wigner(z, ctx)))).encode())
+        for x, y in pairs + [(z, 0.5 + 0.25j) for z in edge]:
+            digest.update(repr([_raw(d) for d in relation_residuals(x, y, ctx)]).encode())
+    return digest.hexdigest()
+
+
+def test_kernel_outputs_are_unchanged():
+    # recorded when the series ran by complex Horner in v^2 and the relation
+    # sums by mp arithmetic; a kernel change that moves any output bit shows
+    assert _kernel_digest() == KERNEL_DIGEST
+
+
 def test_li2_coefficient_cache_per_precision(monkeypatch):
     # coefficients built at one precision must never serve another
     monkeypatch.setattr(bloch, "_SERIES_COEFFS", {})
@@ -116,35 +152,102 @@ def test_li2_coefficient_cache_per_precision(monkeypatch):
         _check_against_polylog(KERNEL_POINTS, bits)
 
 
+def _wp(bits):
+    """The kernel's fixed-point fraction bits at a mantissa size."""
+    return bits + 2 * adet.precision.GUARD_BITS + bloch._FIXED_GUARD
+
+
 def test_li2_series_terms_bounded(monkeypatch):
     # w = z while |log(1-z)| <= 1, else the w in {z, 1-z, 1/z} with the
-    # smallest |log(1-w)| (at most pi/3, at exp(+-i pi/3)), keeps |u| <= 1;
-    # with the |z| regions alone |u| nears 3.3 and the series needs about
-    # 100 terms at 128 bits
-    monkeypatch.setattr(bloch, "_SERIES_COEFFS", {})
-    ctx = PrecisionContext(mantissa_bits=128)
+    # smallest |log(1-w)| (at most pi/3, at exp(+-i pi/3)), keeps |u| <= pi/3,
+    # so |v|^2 < 2^-5 and the series needs at most (wp + 3) / 5 terms: 38, 63
+    # and 115 at 128, 256 and 512 bits; with the |z| regions alone |u| nears
+    # 3.3 and the series needs about 100 terms at 128 bits
     grid = [complex(a, b) for a in np.linspace(-4, 4, 33) for b in np.linspace(-4, 4, 33)]
-    for z in [z for z in grid if abs(z) <= 4] + KERNEL_POINTS:
-        li2(z, ctx)
-        bloch_wigner(z, ctx)
-    assert sum(len(coeffs) for coeffs in bloch._SERIES_COEFFS.values()) <= 40
+    for bits in (128, 256, 512):
+        monkeypatch.setattr(bloch, "_SERIES_COEFFS", {})
+        ctx = PrecisionContext(mantissa_bits=bits)
+        for z in [z for z in grid if abs(z) <= 4] + KERNEL_POINTS:
+            li2(z, ctx)
+            bloch_wigner(z, ctx)
+        wp = _wp(bits)
+        assert list(bloch._SERIES_COEFFS) == [wp]
+        assert len(bloch._SERIES_COEFFS[wp]) <= -(-(wp + 3) // 5), bits
+
+
+def _horner(coeffs, zr, zi, wp):
+    """sum_k c_k z^k scaled by 2^wp, exactly, by complex Horner on the
+    numerator over 2^(wp (n-1)): the reference for bloch._series."""
+    nr = ni = e = 0
+    for c in reversed(coeffs):
+        nr, ni = nr * zr - ni * zi + (c << (wp * e)), nr * zi + ni * zr
+        e += 1
+    scale = 1 << (wp * max(e - 1, 0))
+    return Fraction(nr, scale), Fraction(ni, scale)
+
+
+def _series_argument(ur, ui, wp):
+    """The kernel's z = v^2, v = u / (2 pi), and term count at a fixed-point u."""
+    two_pi = 2 * mp.libmp.pi_fixed(wp)
+    vr, vi = (ur << wp) // two_pi, (ui << wp) // two_pi
+    q = (vr * vr + vi * vi) >> wp
+    n = -(-(wp + 3) // (wp - q.bit_length())) if q else 0
+    return (vr * vr - vi * vi) >> wp, (2 * vr * vi) >> wp, n
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_series_recurrence_matches_horner(bits):
+    # on a grid of |u| <= pi/3, with the kernel's z = v^2 and term count, the
+    # real recurrence is within 2 units of 2^-wp of the exact polynomial
+    wp = _wp(bits)
+    grid = [c for a in np.linspace(-math.pi / 3, math.pi / 3, 15)
+            for c in (complex(a, b) for b in np.linspace(-math.pi / 3, math.pi / 3, 15))
+            if abs(c) <= math.pi / 3]
+    cases = [_series_argument(int(c.real * 2.0 ** 60) << (wp - 60), int(c.imag * 2.0 ** 60) << (wp - 60), wp)
+             for c in grid]
+    assert max(n for *_, n in cases) == -(-(wp + 3) // 5)  # the longest series the kernel runs
+    # n = 0: u = 0 exactly, and at 128 bits u = -log(1 - 1e-30), whose |v|^2 is below 2^-wp
+    _, l1 = bloch._logs(*mp.mpc(1e-30)._mpc_, wp)
+    tiny = _series_argument(-l1[0], -l1[1], wp)
+    assert tiny[2] == 0 if bits == 128 else tiny[2] > 0
+    cases += [(0, 0, 0), tiny]
+    # n = 1 is p = c_0 alone; the kernel's rule gives n >= 2 whenever q > 0
+    cases += [(zr, zi, 1) for zr, zi, _ in cases[:5]]
+    for zr, zi, n in cases:
+        ref = _horner(bloch._series_coeffs(n, wp)[:n], zr, zi, wp)
+        got = bloch._series(zr, zi, n, wp)
+        assert max(abs(g - r) for g, r in zip(got, ref)) <= 2, (bits, zr, zi, n)
+
+
+def _perturbed_series(monkeypatch, wp, last):
+    """Make every series at wp read one faulty coefficient: c_0 off by 2^-60,
+    or the last one the recurrence reads, c_(n-1), off by 2^150.  The c_(n-1)
+    term lies below 2^-wp, so only so large a fault shows at the gates."""
+    series_coeffs = bloch._series_coeffs
+
+    def perturbed(n, at):
+        coeffs = list(series_coeffs(n, at)[:n])
+        if at == wp and n:
+            coeffs[n - 1 if last else 0] += 1 << (wp + 150 if last else wp - 60)
+        return coeffs
+
+    monkeypatch.setattr(bloch, "_series_coeffs", perturbed)
 
 
 @pytest.mark.parametrize("z, partner", [(0.4 + 0.3j, lambda z: 1 - z), (-1 + 0.5j, lambda z: 1 / z)],
                          ids=["reflection", "inversion"])
 def test_two_term_relations_see_the_series(z, partner, monkeypatch):
     # z and its partner both keep w = z here, so D(z) + D(partner) = 0 tests
-    # the series: a fault in one coefficient shows, where a shared series
-    # value would cancel it
+    # the series: a fault in one coefficient, the first or the last the
+    # recurrence reads, shows, where a shared series value would cancel it
     ctx = PrecisionContext(mantissa_bits=128)
-    wp = 128 + 2 * adet.precision.GUARD_BITS + bloch._FIXED_GUARD
     zz = mp.mpc(z)
     with ctx.workprec():
         assert abs(bloch_wigner(zz, ctx) + bloch_wigner(partner(zz), ctx)) < 1e-40
-        coeffs = list(bloch._series_coeffs(40, wp))
-        coeffs[0] += 1 << (wp - 60)
-        monkeypatch.setattr(bloch, "_SERIES_COEFFS", {wp: coeffs})
-        assert abs(bloch_wigner(zz, ctx) + bloch_wigner(partner(zz), ctx)) > 1e-30
+        for last in (False, True):
+            with monkeypatch.context() as patch:
+                _perturbed_series(patch, _wp(128), last)
+                assert abs(bloch_wigner(zz, ctx) + bloch_wigner(partner(zz), ctx)) > 1e-30, last
 
 
 @pytest.mark.parametrize("bits", [128, 256])
@@ -284,6 +387,15 @@ def test_relation_residuals_on_the_boundary(ctx128):
             assert r == i == 0
 
 
+def test_relation_residuals_read_every_scalar(ctx128):
+    # the letters go through to_mpc: numpy scalars, ints and mp numbers give
+    # the same bits as Python floats and complex numbers
+    ref = relation_residuals(2.0, 0.3 + 0.8j, ctx128)
+    for x, y in ((2, np.complex128(0.3 + 0.8j)), (np.float64(2.0), mp.mpc(0.3, 0.8)),
+                 (mp.mpf(2), "0.3+0.8j")):
+        assert relation_residuals(x, y, ctx128) == ref, (x, y)
+
+
 def test_relation_residuals_conjugate_pair(ctx128):
     # y = conj(x): complex letters x, y give a real w = 1 - |x|^2, whose D is
     # exactly 0, while the other arguments stay complex
@@ -313,15 +425,15 @@ def test_relation_terms_just_above_the_cut(x, y, ctx128):
 
 def test_fiveterm_check_sees_the_series(monkeypatch):
     # the relations share letter logarithms but no series value: a fault in
-    # one series coefficient fails all three records of the check
+    # one series coefficient, the first or the last the recurrence reads,
+    # fails all three records of the check
     ctx = PrecisionContext(mantissa_bits=128)
-    wp = 128 + 2 * adet.precision.GUARD_BITS + bloch._FIXED_GUARD
-    coeffs = list(bloch._series_coeffs(40, wp))
-    coeffs[0] += 1 << (wp - 60)
-    monkeypatch.setattr(bloch, "_SERIES_COEFFS", {wp: coeffs})
-    records = cli.FAMILIES["fiveterm"].records(None, ctx, np.random.default_rng(0), 50, 1.0, 0)
-    assert len(records) == 3
-    assert not any(r.passed for r in records), [(r.name, r.residual) for r in records]
+    for last in (False, True):
+        with monkeypatch.context() as patch:
+            _perturbed_series(patch, _wp(128), last)
+            records = cli.FAMILIES["fiveterm"].records(None, ctx, np.random.default_rng(0), 50, 1.0, 0)
+        assert len(records) == 3
+        assert not any(r.passed for r in records), (last, [(r.name, r.residual) for r in records])
 
 
 def test_xi_D_conjugation(ctx128):

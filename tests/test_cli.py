@@ -3,6 +3,7 @@ import io
 import json
 import sys
 
+import numpy as np
 import pytest
 
 from adet import PrecisionContext, cli, nahm_matrix, parse_diagram, solver
@@ -90,6 +91,22 @@ def test_verify_fiveterm_gate_follows_precision(tmp_path, capsys):
         assert r["tolerance"] == 2.0 ** -128 * 1e-30
         assert r["passed"] and r["residual"] < 1e-78, r
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fiveterm_draws_points_as_per_point_uniforms(seed, monkeypatch):
+    # one rng.random((count, 4)) gives the points of uniform(0, 1, 2) then
+    # uniform(0, 2 pi, 2) per point, and leaves the generator where they do
+    points = []
+    monkeypatch.setattr(cli.bloch, "relation_residuals", lambda x, y, ctx: points.append((x, y)) or (0, 0, 0))
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    cli.FAMILIES["fiveterm"].records(None, PrecisionContext(), rng, 50, 1.0, seed)
+    expected = []
+    for _ in range(50):
+        r, t = 2 * np.sqrt(ref.uniform(0, 1, 2)), ref.uniform(0, 2 * np.pi, 2)
+        expected.append(tuple((r * np.exp(1j * t)).tolist()))
+    assert points == expected
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_verify_requires_pair(capsys):
