@@ -5,6 +5,7 @@ the mantissa size and the tolerances used by equality and residual checks.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -44,18 +45,21 @@ DEFAULT_CONTEXT = PrecisionContext()
 
 
 def to_mpc(value):
-    """Coerce floats/complex/numpy scalars to mpmath numbers.
+    """Coerce ints/floats/complex/numpy scalars to mpmath numbers.
 
     mp types pass through unchanged: re-wrapping them in mp.mpc would round
     at the ambient precision and silently destroy high-precision mantissas.
+    An int is read exactly, whatever its width, for the same reason.
     """
     if isinstance(value, (mp.mpc, mp.mpf)):
         return value
     if isinstance(value, complex):
         return mp.mpc(value.real, value.imag)
-    if isinstance(value, (int, float)):
-        return mp.mpf(value) if isinstance(value, float) else mp.mpf(int(value))
-    # numpy scalars and anything with __complex__
+    if isinstance(value, float):
+        return mp.mpf(value)
+    if isinstance(value, numbers.Integral):  # ints and numpy integer scalars
+        return mp.make_mpf(libmp.from_int(int(value)))
+    # other numpy scalars and anything with __complex__
     c = complex(value)
     return mp.mpf(c.real) if c.imag == 0 else mp.mpc(c.real, c.imag)
 

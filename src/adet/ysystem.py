@@ -10,7 +10,9 @@ Which factors, with which exponents, make up the right-hand side for each
 index is read from `PairIndexing.factors`, the one place the recurrence is
 encoded.  One step, `_next_level`, evaluates it over an arithmetic table for
 trajectories, tropical degrees (`_TROPICAL`), the constant Y-system
-(`constant_residual`) and the Nahm solver's positive start.
+(`constant_residual`) and the Nahm solver's positive start.  Real grids run
+on a correctly rounded binary kernel (`_binary`) that gives the bits of
+mp's operators, complex ones on libmp's mpc calls (`_table`).
 
 Seeding follows the canonical rule Y(0) = y and Y(-1) = 1/y componentwise
 (`_seeds`), and one level loop (`_levels`) runs the recurrence from there.
@@ -52,14 +54,16 @@ ESCALATED_BITS = 256
 # One recurrence step's operations: 1 + y, 1 + 1/y, *, /, 1/x, x**m, |x| <= tol.
 _Arithmetic = namedtuple("_Arithmetic", "one_plus one_plus_inv mul div recip pow small")
 
-# Per mp type: raw attribute, wrapper, the libmp calls of its operators for 1 + y,
+# For mpc: raw attribute, wrapper, the libmp calls of its operators for 1 + y,
 # 1/y, *, /, ** int and abs, and the exponent band in which `small` takes |x|.
 _LIBMP = {
-    mp.mpf: ("_mpf_", mp.make_mpf, libmp.mpf_add, functools.partial(libmp.mpf_rdiv_int, 1),
-             libmp.mpf_mul, libmp.mpf_div, libmp.mpf_pow_int, libmp.mpf_abs, 1),
     mp.mpc: ("_mpc_", mp.make_mpc, libmp.mpc_add_mpf, functools.partial(libmp.mpc_mpf_div, libmp.fone),
              libmp.mpc_mul, libmp.mpc_div, libmp.mpc_pow_int, libmp.mpc_abs, 2),
 }
+
+# The binary kernel's zero: its exponent puts it below every tolerance and
+# sends every sum with it to the far-operand path.
+_ZERO = (0, -(1 << 62))
 
 
 def _top(x) -> float:
@@ -69,24 +73,145 @@ def _top(x) -> float:
     return x[2] + x[3] if x[1] else -math.inf
 
 
+def _to_libmp(m: int, e: int) -> tuple:
+    """The normalised libmp tuple of the binary value m * 2^e."""
+    if not m:
+        return libmp.fzero
+    zeros = (m & -m).bit_length() - 1
+    m >>= zeros
+    return (0, m, e + zeros, m.bit_length()) if m > 0 else (1, -m, e + zeros, m.bit_length())
+
+
+def _rounding(prec: int):
+    """rnd(m, e): m * 2^e rounded half even to a `prec`-bit mantissa, as
+    (m, e); a narrower m is padded, and m = 0 gives `_ZERO`."""
+    limit, half = 1 << prec, 1 << prec - 1
+
+    def rnd(m, e):
+        n = m.bit_length() - prec
+        if n > 0:
+            t = m >> n - 1  # floor(m / 2^n) and, below it, the half bit
+            if t & 1 and (t & 2 or m & (1 << n - 1) - 1):
+                m = (t >> 1) + 1
+                if m == limit:
+                    return half, e + n + 1
+            else:
+                m = t >> 1
+                if m == -limit:
+                    return -half, e + n + 1
+            return m, e + n
+        if n:
+            return (m << -n, e + n) if m else _ZERO
+        return m, e
+
+    return rnd
+
+
+def _binary(prec: int, tol):
+    """(table, raw, wrap) of the binary kernel at `prec` bits.
+
+    A value is (m, e), the number m * 2^e with a signed int mantissa m of
+    exactly `prec` bits; `raw` reads a libmp tuple exactly, padding a
+    narrower mantissa and keeping a wider one (a seed's).  Each operation is
+    one exact integer operation, with a division remainder as a sticky bit,
+    then one round half even (`_rounding`).  mp's operators call libmp's
+    mpf_add, mpf_mul, mpf_div and mpf_rdiv_int, which round correctly too,
+    so every value is bit-identical to theirs.  The exception is libmp's
+    shortcut for a sum whose operands' exponents lie more than 100 apart:
+    when one operand's top bit lies more than prec + 4 above the other's,
+    the lower one becomes a sticky bit.  That rounds correctly only for an
+    upper operand of at most `prec` bits, so for a wider one the kernel
+    takes it only where libmp does, judged on libmp's exponents (trailing
+    zeros stripped).  `small` reads |x| <= tol, for tol > 0, from the
+    exponent, and compares mantissas only within tol's binade.  Powers go
+    through libmp's mpf_pow_int, as mp's ** does.
+    """
+    rnd = _rounding(prec)
+    one = (1 << prec - 1, 1 - prec)
+    _, tol_man, tol_exp, tol_bc = mp.mpf(tol)._mpf_
+    tol_top = tol_exp + tol_bc
+    screen = tol_top - prec
+
+    def far(ma, ea, mb, eb):
+        # a + b with ea > eb + 100, rounded as libmp's mpf_add rounds it
+        if not ma or not mb:
+            return rnd(ma or mb, ea if ma else eb)
+        bits = ma.bit_length()
+        if ea + bits - eb - mb.bit_length() > prec + 4 and (
+                bits <= prec or ea - eb - (mb & -mb).bit_length() + 1 > 100):
+            return rnd((ma << prec + 4) + (1 if mb > 0 else -1), ea - prec - 4)
+        return rnd((ma << ea - eb) + mb, eb)
+
+    def add(a, b):
+        ma, ea = a
+        mb, eb = b
+        d = ea - eb
+        if 0 <= d <= 100:
+            return rnd((ma << d) + mb, eb)
+        if -100 <= d < 0:
+            return rnd(ma + (mb << -d), ea)
+        return far(ma, ea, mb, eb) if d > 0 else far(mb, eb, ma, ea)
+
+    def mul(a, b):
+        return rnd(a[0] * b[0], a[1] + b[1])
+
+    def div(a, b):
+        # |a's mantissa| >= 2^(prec-1), so the quotient has at least prec + 3 bits
+        ma, ea = a
+        mb, eb = b
+        k = mb.bit_length() + 3
+        q, r = divmod(ma << k, mb)
+        return rnd(2 * q + 1, ea - eb - k - 1) if r else rnd(q, ea - eb - k)
+
+    def small(x):
+        m, e = x
+        if e > screen:
+            return False
+        top = e + m.bit_length()
+        if top != tol_top:
+            return top < tol_top
+        shift = e - tol_exp
+        if shift >= 0:
+            return abs(m) << shift <= tol_man
+        return abs(m) <= tol_man << -shift
+
+    def raw(v):
+        sign, man, exp, bc = v._mpf_
+        if not man:
+            return _ZERO
+        if sign:
+            man = -man
+        return (man << prec - bc, exp - prec + bc) if bc < prec else (man, exp)
+
+    def pow_(x, m):
+        return raw(mp.make_mpf(libmp.mpf_pow_int(_to_libmp(*x), m, prec, libmp.round_nearest)))
+
+    return (_Arithmetic(functools.partial(add, one), lambda y: add(div(one, y), one), mul, div,
+                        functools.partial(div, one), pow_, small),
+            raw, lambda x: mp.make_mpf(_to_libmp(*x)))
+
+
 def _table(values, tol):
     """(table, raw, wrap) for a grid seeded with `values`, with the
     conversions of a value to and from the table's representation.
 
-    All mpf or all mpc: raw libmp tuples at the working precision, through
-    the calls mp's operators make, rounding to nearest, so every value is
-    bit-identical to theirs.  `small` reads |x| <= tol from the exponents:
-    with tol < 2^t, a finite x with `_top` e <= t - band is small and one with
-    e > t is not; only in between, within a factor 2 (mpf) or 4 (mpc) of
-    tol, is |x| taken.  Otherwise (mixed mpf and mpc, Fractions, floats):
-    operators.
+    All finite mpf: the binary kernel `_binary` at the working precision.
+    All mpc: raw libmp tuples at the working precision, through the calls
+    mp's operators make, rounding to nearest, so every value is
+    bit-identical to theirs; `small` reads |x| <= tol from the exponents:
+    with tol < 2^t, a finite x with `_top` e <= t - 2 is small and one with
+    e > t is not; only in between, within a factor 4 of tol, is |x| taken.
+    Otherwise (mixed mpf and mpc, Fractions, floats, an infinite or nan
+    mpf): operators.
     """
     kinds = set(map(type, values))
-    if len(kinds) != 1 or not kinds <= _LIBMP.keys():
+    if kinds == {mp.mpf} and all(v._mpf_[1] or not v._mpf_[2] for v in values):  # finite
+        return _binary(mp.mp.prec, tol)
+    if kinds != {mp.mpc}:
         return (_Arithmetic(lambda y: 1 + y, lambda y: 1 + 1 / y, operator.mul, operator.truediv,
                             lambda x: 1 / x, operator.pow, lambda x: abs(x) <= tol),
                 lambda v: v, lambda v: v)
-    attr, wrap, add, rdiv, mul, div, pow_, abs_, band = _LIBMP[kinds.pop()]
+    attr, wrap, add, rdiv, mul, div, pow_, abs_, band = _LIBMP[mp.mpc]
     prec, rnd, one = mp.mp.prec, libmp.round_nearest, libmp.fone
     tol = mp.mpf(tol)._mpf_
     hi, lo = _top(tol), _top(tol) - band

@@ -396,6 +396,21 @@ def test_relation_residuals_read_every_scalar(ctx128):
         assert relation_residuals(x, y, ctx128) == ref, (x, y)
 
 
+def test_relation_terms_read_wide_ints_exactly(ctx128):
+    # an int letter wider than 53 bits (a Python int or a numpy integer) is
+    # read exactly, outside any workprec context: 2^80 + 1 gives the terms
+    # of its exact mpf, not of 2^80
+    x = 2 ** 80 + 1
+    assert adet.precision.to_mpc(x)._mpf_ == (0, x, 0, 81)
+    assert adet.precision.to_mpc(np.int64(2 ** 60 + 1))._mpf_ == (0, 2 ** 60 + 1, 0, 61)
+    terms = bloch._relation_terms(x, 0.5j, ctx128)
+    with mp.workprec(144):
+        exact = bloch._relation_terms(mp.mpf(x), 0.5j, ctx128)
+        rounded = bloch._relation_terms(mp.mpf(2 ** 80), 0.5j, ctx128)
+    assert [d._mpf_ for d in terms] == [d._mpf_ for d in exact] != [d._mpf_ for d in rounded]
+    assert terms[1]._mpf_ == (1, 1130919317110567611477431444681707, -183, 110)
+
+
 def test_relation_residuals_conjugate_pair(ctx128):
     # y = conj(x): complex letters x, y give a real w = 1 - |x|^2, whose D is
     # exactly 0, while the other arguments stay complex

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,9 +13,9 @@ import adet
 from adet import (check_periodicity, constant_residual, iterate, monomial_sign, perturbed_pair,
                   wedge_form_residual)
 from adet.errors import DegenerateInput, DegenerateStep, WindowTooShort
-from adet.precision import GUARD_BITS
-from adet.ysystem import (ESCALATION_THRESHOLD, _levels, _next_level, _peak, _run_grid, _seeds, _table,
-                          _tropical_table)
+from adet.precision import GUARD_BITS, to_mpc
+from adet.ysystem import (ESCALATION_THRESHOLD, _binary, _levels, _next_level, _peak, _run_grid, _seeds,
+                          _table, _to_libmp, _top, _tropical_table)
 
 from conftest import ACCEPT_PAIRS, all_pairs_up_to, pair, sample_points, step
 
@@ -382,14 +384,114 @@ def _reference_path(monkeypatch):
 
 
 def test_table_follows_seed_types():
-    # all-mpf and all-mpc seeds run on raw libmp tuples; levels mixing the
-    # two, and Fractions, run on the operators
+    # all-mpf seeds run on the binary kernel (mantissas padded to the working
+    # precision, wider ones read exactly), all-mpc seeds on raw libmp tuples;
+    # levels mixing the two, Fractions and infinite mpf values run on the operators
     with mp.workprec(144):
-        assert _table([mp.mpf(2), mp.mpf(3)], 1e-20)[1](mp.mpf(2)) == mp.mpf(2)._mpf_
+        ar, raw, wrap = _table([mp.mpf(2), mp.mpf(3)], 1e-20)
+        assert raw(mp.mpf(2)) == (1 << 143, -142) and raw(mp.mpf(-0.75)) == (-3 << 142, -144)
+        wide = to_mpc(2 ** 200 + 1)
+        assert raw(wide) == (2 ** 200 + 1, 0) and wrap(raw(wide))._mpf_ == wide._mpf_
+        assert wrap(ar.mul(raw(mp.mpf(2)), raw(mp.mpf(3))))._mpf_ == mp.mpf(6)._mpf_
         assert _table([mp.mpc(2, 1), mp.mpc(3)], 1e-20)[1](mp.mpc(2, 1)) == mp.mpc(2, 1)._mpc_
-        for values in ([mp.mpf(2), mp.mpc(3, 1)], [Fraction(1, 2)], [mp.pi]):
+        for values in ([mp.mpf(2), mp.mpc(3, 1)], [Fraction(1, 2)], [mp.pi], [mp.mpf(2), mp.inf]):
             ar, raw, wrap = _table(values, 1e-20)
             assert ar.small(mp.mpc(1e-21, 0)) and raw(values[0]) is values[0], values
+
+
+def _kernel_cases(prec, seed):
+    """(a, b) pairs of libmp tuples for the kernel's property test: random
+    operands of both signs and of up to 3 prec bits, ties, carries to
+    2^prec, addends prec + 3 to 2 prec apart, exact cancellation, and
+    operands wider than prec next to a far addend, either side of libmp's
+    rule that exponents more than 100 apart make the far one a sticky bit."""
+    gen = random.Random(seed)
+    p = prec
+
+    def num(m, e):
+        return libmp.from_man_exp(m, e)
+
+    def man(bits):
+        return gen.getrandbits(bits) | 1 << bits - 1
+
+    def sign():
+        return gen.choice((1, -1))
+
+    cases = []
+    for _ in range(1500):
+        ea, eb = gen.randint(-3 * p, 3 * p), gen.randint(-3 * p, 3 * p)
+        bits = [gen.choice((p, p, gen.randint(1, p), gen.randint(p + 1, 3 * p))) for _ in "ab"]
+        cases.append((num(sign() * man(bits[0]), ea), num(sign() * man(bits[1]), eb)))
+        cases.append((num(sign() * man(bits[0]), ea), num(sign() * man(bits[1]), ea - gen.randint(-8, 8))))
+    for _ in range(100):
+        c, s, e = man(p), sign(), gen.randint(-p, p)
+        cases.append((num(s * c, e), num(sign(), e - 1)))  # a sum at a tie
+        cases.append((num(s * c, e), num(-s * c, e)))  # exact cancellation
+        cases.append((num(s * c, e), num(-s * (c + sign()), e)))
+        cases.append((num(s * (c | 1) if c < 2 * 2 ** p // 3 else s * (c & -4 | 2), e), num(3, e)))  # a tie product
+        cases.append((num(s * (2 * c + 1) * 3, e), num(3, gen.randint(-p, p))))  # a tie quotient
+        cases.append((num(s * (2 ** p - 1), e), num(s * gen.randint(1, 3), e - 2)))  # carries to 2^prec
+        cases.append((num(s * (2 ** p - 1), e), num(2 ** (p + gen.randint(0, 3)) + 1, -p - 3)))
+        cases.append((num(s * (2 ** gen.randint(p + 1, p + 5) + 1), e), num(3, 0)))
+        gap = gen.randint(p + 3, 2 * p)  # top bits gap apart
+        cases.append((num(s * man(p), e), num(sign() * man(gen.choice((1, p))), e - gap)))
+        # a wide operand one unit of its last place above a tie, and an addend
+        # of two units below it: exact, the sum rounds down; as a sticky bit, up
+        extra = gen.randint(10, 120)
+        wide = s * (((2 * c + 1) << extra) + 1)
+        for low in (e - 101, e - 99):
+            cases.append((num(wide, e), num(-s * ((1 << e + 1 - low) + 1), low)))
+    return cases
+
+
+def _kernel_mismatches(prec, seed=2811):
+    """The (operation, a, b) on which the kernel at `prec` bits misses
+    libmp's add, sub, mul, div or reciprocal, as mp's operators call them,
+    or returns a nonzero mantissa of other than `prec` bits."""
+    rnd = libmp.round_nearest
+    with mp.workprec(prec):
+        ar, raw, _ = _binary(prec, 1e-20)
+    add = ar.one_plus.func  # one_plus is the kernel's sum with 1 bound first
+
+    def read(a):
+        return raw(mp.make_mpf(a))
+
+    ops = {"add": (lambda a, b: add(read(a), read(b)), lambda a, b: libmp.mpf_add(a, b, prec, rnd)),
+           "sub": (lambda a, b: add(read(a), read(libmp.mpf_neg(b))), lambda a, b: libmp.mpf_sub(a, b, prec, rnd)),
+           "mul": (lambda a, b: ar.mul(read(a), read(b)), lambda a, b: libmp.mpf_mul(a, b, prec, rnd)),
+           "div": (lambda a, b: ar.div(read(a), read(b)), lambda a, b: libmp.mpf_div(a, b, prec, rnd)),
+           "recip": (lambda a, b: ar.recip(read(a)), lambda a, b: libmp.mpf_rdiv_int(1, a, prec, rnd))}
+    out = []
+    for a, b in _kernel_cases(prec, seed):
+        for name, (kernel, ref) in ops.items():
+            m, e = kernel(a, b)
+            if _to_libmp(m, e) != ref(a, b) or m and m.bit_length() != prec:
+                out.append((name, a, b))
+    return out
+
+
+@pytest.mark.parametrize("prec", [144, 272, 528])
+def test_kernel_matches_libmp(prec):
+    # every operation of the binary kernel gives libmp's bits, at the
+    # working precisions of 128, 256 and 512 bits
+    assert _kernel_mismatches(prec) == []
+
+
+def _half_up(prec):
+    """A rounding that sends ties up instead of to even: a mutant of `_rounding`."""
+    def rnd(m, e):
+        n = m.bit_length() - prec
+        if n <= 0:
+            return (m << -n, e + n) if m else adet.ysystem._ZERO
+        m = (m + (1 << n - 1)) >> n
+        return (m >> 1, e + n + 1) if m.bit_length() > prec else (m, e + n)
+    return rnd
+
+
+def test_kernel_property_sees_half_up(monkeypatch):
+    # the cases hold ties: rounding them up instead of to even is seen
+    monkeypatch.setattr(adet.ysystem, "_rounding", _half_up)
+    assert len(_kernel_mismatches(144)) > 50
 
 
 # (pair, seed vector, u_max, tau_res, escalates).  No unperturbed pair has an
@@ -427,6 +529,44 @@ def test_factor_cache_matches_per_neighbour_step(case, bits, monkeypatch):
     assert _bits(traj.values) == _bits(ref.values)
 
 
+# sha256 of `_trajectory_digest`, recorded when every all-mpf grid ran
+# through libmp's mpf_add, mpf_mul, mpf_div and mpf_rdiv_int
+TRAJECTORY_DIGEST = "359ead9ab40ecc5be6e65df785cd832136894e395c06c6d63917bdaf9b4d57d3"
+
+
+def _trajectory_digest() -> str:
+    """sha256 over the raw tuples of `iterate` on every pair with rank
+    product <= 8 at 128 and 256 bits (seeds in [0.5, 2], two periods), on
+    negative and mixed-sign seeds, a squared factor, three escalating grids,
+    and of `constant_residual` at three polished positive roots."""
+    h = hashlib.sha256()
+    rng = np.random.default_rng(2811)
+    ctxs = [adet.PrecisionContext(mantissa_bits=bits) for bits in (128, 256)]
+    deep = replace(adet.DEFAULT_CONTEXT, tau_res=1e-300)
+    cases = [(pair(label), list(rng.uniform(0.5, 2.0, pair(label).n)), ctx)
+             for label in all_pairs_up_to(8) for ctx in ctxs]
+    cases += [(pair("A3,A2"), list(rng.uniform(-2.0, -0.5, 6)), ctxs[0]),
+              (pair("D4,A1"), list(rng.uniform(-1.5, 1.5, 4)), ctxs[1]),
+              (perturbed_pair(pair("A3,A1"), "x", 0, 1), [0.8, 1.7, 1.2], ctxs[0]),
+              (pair("A2,A1"), [1e-20, 1e-20], deep),
+              (pair("A1,T2"), [1e-8, 1e-8], deep),
+              (pair("E6,A1"), [1e25, 3e-22, 7.0, 0.125, 1e-3, 2.0 ** 60], deep)]
+    for p, y, ctx in cases:
+        traj = iterate(p, y, 2 * p.period, ctx)
+        for key in sorted(traj.values):
+            h.update(repr((key, traj.values[key]._mpf_)).encode())
+    for label in ("A2,T1", "E6,A1", "D4,A2"):
+        p = pair(label)
+        root = [v.real for v in adet.solve_positive(p, ctxs[0]).y]
+        h.update(repr(constant_residual(p, root, ctxs[0])._mpf_).encode())
+    return h.hexdigest()
+
+
+def test_trajectories_are_unchanged():
+    # a kernel change that moves any trajectory or residual bit shows
+    assert _trajectory_digest() == TRAJECTORY_DIGEST
+
+
 def test_factor_cache_keeps_wedge_residual(ctx128, monkeypatch):
     # the tangent grid runs the same step on P+ at a complex point
     p = pair("E6,A1")
@@ -436,18 +576,55 @@ def test_factor_cache_keeps_wedge_residual(ctx128, monkeypatch):
     assert res._mpf_ == wedge_form_residual(p, pt, ctx128).residual._mpf_
 
 
+def _truncating_binary(prec, tol):
+    """The binary kernel with a division that truncates instead of rounding to nearest."""
+    ar, raw, wrap = _binary(prec, tol)
+
+    def div(a, b):
+        q = (a[0] << 2 * prec) // b[0]
+        n = q.bit_length() - prec
+        return q >> n, a[1] - b[1] - 2 * prec + n
+
+    return ar._replace(div=div), raw, wrap
+
+
 @pytest.mark.parametrize("case,kind", [("E6,A1", mp.mpf), ("E6,A1 complex", mp.mpc)])
 def test_oracle_sees_a_rounding_mutant(case, kind, monkeypatch):
-    # the comparison is not vacuous: a libmp division rounding down instead
-    # of to nearest moves the trajectory off the reference
+    # the comparison is not vacuous: a division rounding down instead of to
+    # nearest, on the binary kernel (mpf) or through libmp (mpc), moves the
+    # trajectory off the reference
     p, y, _, tau_res, _ = ORACLE_CASES[case]
     ctx = adet.PrecisionContext(mantissa_bits=128, tau_res=tau_res)
-    attr, wrap, add, rdiv, mul, div, *rest = adet.ysystem._LIBMP[kind]
-    floor_div = lambda a, b, prec, rnd: div(a, b, prec, libmp.round_floor)  # noqa: E731
-    monkeypatch.setitem(adet.ysystem._LIBMP, kind, (attr, wrap, add, rdiv, mul, floor_div, *rest))
+    if kind is mp.mpf:
+        monkeypatch.setattr(adet.ysystem, "_binary", _truncating_binary)
+    else:
+        attr, wrap, add, rdiv, mul, div, *rest = adet.ysystem._LIBMP[kind]
+        floor_div = lambda a, b, prec, rnd: div(a, b, prec, libmp.round_floor)  # noqa: E731
+        monkeypatch.setitem(adet.ysystem._LIBMP, kind, (attr, wrap, add, rdiv, mul, floor_div, *rest))
     mutant = iterate(p, y, 2 * p.period, ctx)
     _reference_path(monkeypatch)
     assert _bits(mutant.values) != _bits(iterate(p, y, 2 * p.period, ctx).values)
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_wide_seeds_match_per_neighbour_step(bits, monkeypatch):
+    # a 200-bit int seed, read exactly, and a 400-bit mpf seed enter the
+    # first steps wider than the working precision (|Y| spans 2^+-200, so
+    # tau_res is lowered); a polished root 32 bits wider than
+    # constant_residual's precision does the same
+    p = pair("A2,A3")
+    ctx = adet.PrecisionContext(mantissa_bits=bits)
+    deep = replace(ctx, tau_res=1e-300)
+    with mp.workprec(400):
+        y = [2 ** 200 + 1, mp.sqrt(2), mp.sqrt(3) / 5, mp.mpf(1) / 3, mp.sqrt(5) - 1, mp.pi / 4]
+    root = [v.real for v in adet.solve_positive(p, ctx).y]
+    assert min(v._mpf_[3] for v in root) > bits + GUARD_BITS
+    traj = iterate(p, y, 2 * p.period, deep)
+    residual = constant_residual(p, root, ctx)
+    assert traj.value(0, 0)._mpf_ == libmp.from_int(2 ** 200 + 1) and traj.value(1, 0)._mpf_[3] > 256
+    _reference_path(monkeypatch)
+    assert _bits(traj.values) == _bits(iterate(p, y, 2 * p.period, deep).values)
+    assert residual._mpf_ == constant_residual(p, root, ctx)._mpf_
 
 
 def _near_tol(tol, kind):
@@ -480,17 +657,25 @@ def test_small_agrees_with_abs(kind, tau):
 
 @pytest.mark.parametrize("kind", [mp.mpf, mp.mpc])
 def test_small_sees_a_narrow_band(kind, monkeypatch):
-    # with the band one binade too narrow the screen decides values just
-    # above tol from the exponent alone, and wrongly (for mpc only where tol
-    # sits low in its binade, as 1.0 does)
-    entry = adet.ysystem._LIBMP[kind]
-    monkeypatch.setitem(adet.ysystem._LIBMP, kind, (*entry[:-1], entry[-1] - 1))
+    # a screen that decides tol's own binade from the exponent alone, either
+    # way (binary kernel), or whose band is one binade too narrow (mpc), takes
+    # values on the wrong side of tol (for mpc only where tol sits low in its
+    # binade, as 1.0 does)
+    if kind is mp.mpf:
+        mutants = [lambda top: (lambda x: x[1] + x[0].bit_length() <= top),
+                   lambda top: (lambda x: x[1] + x[0].bit_length() < top)]
+    else:
+        entry = adet.ysystem._LIBMP[kind]
+        monkeypatch.setitem(adet.ysystem._LIBMP, kind, (*entry[:-1], entry[-1] - 1))
+        mutants = [None]
     with mp.workprec(144):
-        wrong = 0
-        for tol in (mp.mpf(1e-20), mp.mpf(1)):
-            ar, raw, _ = _table([kind(1)], tol)
-            wrong += sum(ar.small(raw(v)) != (abs(v) <= tol) for v in _near_tol(tol, kind))
-        assert wrong > 0
+        for mutant in mutants:
+            wrong = 0
+            for tol in (mp.mpf(1e-20), mp.mpf(1)):
+                ar, raw, _ = _table([kind(1)], tol)
+                small = ar.small if mutant is None else mutant(_top(tol._mpf_))
+                wrong += sum(small(raw(v)) != (abs(v) <= tol) for v in _near_tol(tol, kind))
+            assert wrong > 0
 
 
 def _raised(step, p, prev, cur, ar, wrap, u):
