@@ -13,13 +13,11 @@ damped Newton: one complex128 run over all starts at once (a batch of
 Jacobian solves per step) locates basins, and every distinct candidate is
 polished with mpmath Newton at the context precision, which solves each step
 by Gaussian elimination on lists of mp numbers and gives up on a linear
-crawl.  The positive solution starts from a float sweep of the Y-system
-step in the positive cone.
+crawl.  The positive start is float Newton on the convex Nahm potential.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 
 import mpmath as mp
 import numpy as np
@@ -27,7 +25,7 @@ import numpy as np
 from .dynkin import PairIndexing
 from .errors import NoConvergence, PoleInput
 from .precision import DEFAULT_CONTEXT, PrecisionContext, to_mpc
-from .ysystem import _next_level, _table, constant_residual
+from .ysystem import constant_residual
 
 __all__ = [
     "y_to_x",
@@ -58,7 +56,6 @@ _MAX_HALVINGS = 40
 # so that a batch holds at most 8 candidates per pending row
 _HALVING_BLOCKS = (np.arange(1),) + tuple(
     np.arange(h, min(h + 8, _MAX_HALVINGS + 1)) for h in range(1, _MAX_HALVINGS + 1, 8))
-_FIXED_POINT_ITERS = 400  # cap of the positive-cone sweep that seeds Newton
 RANK_CAP = 6  # the largest pair size solve_all searches
 
 
@@ -451,28 +448,34 @@ def _is_degenerate_vec(y) -> bool:
     return any(abs(v) < _DEGENERATE_MARGIN or abs(1 + v) < _DEGENERATE_MARGIN for v in y)
 
 
-def _positive_fixed_point(pair: PairIndexing):
-    """Multiplicative iteration y <- sqrt(rhs(y)) from the all-ones vector.
+def _positive_start(pair: PairIndexing):
+    """Float Newton on the Nahm potential from u = 1; y = e^u - 1 as mpf values.
 
-    rhs is the right-hand side of the constant Y-system, one Y-system step
-    `ysystem._next_level` from Y(-1) = 1 (dividing by it is exact) and
-    Y(0) = y, run on the operator table over Python floats.  The map
-    preserves the positive cone and homes in on the all-positive solution;
-    the sweep stops once no component drifts by 1e-12 relative, or after
-    _FIXED_POINT_ITERS sweeps, and leaves the quadratic finish to Newton.
-    Returns the start as mpf values.
+    With u = -log(1 - x), the positive solution minimises the strictly convex
+    F(u) = u.A.u / 2 + sum_i Li2(e^-u_i) on (0, oo)^n: the zero of
+    grad F = A u + log x, whose Jacobian A + diag(e^-u / x) is positive definite.
+    A step is halved until u stays in (0, oo)^n and max |grad F| drops (a search
+    for grad F . du <= 0 refuses full steps that overshoot from above: rate 1/2),
+    down to the rounding floor or for _FLOAT_MAX_ITER steps.  A is built from
+    the adjacency the recurrence reads, which `perturbed_pair` may bump.
     """
-    ar, _, _ = _table([1.0], 0)
-    ks = range(pair.n)
-    ones = dict.fromkeys(ks, 1.0)
-    y = ones
-    for _ in range(_FIXED_POINT_ITERS):
-        new = {k: sqrt(v) for k, v in _next_level(pair, ones, y, ks, ar, 1).items()}
-        drift = max(abs(new[k] - y[k]) / y[k] for k in ks)
-        y = new
-        if drift < 1e-12:
+    a = np.kron(2 * np.eye(pair.r) - pair.ix, np.linalg.inv(2 * np.eye(pair.rp) - pair.ixp))
+
+    def grad(u):
+        return a @ u + np.log(-np.expm1(-u))
+
+    u = np.ones(pair.n)
+    g = grad(u)
+    for _ in range(_FLOAT_MAX_ITER):
+        du = np.linalg.solve(a + np.diag(1 / np.expm1(u)), -g)
+        for lam in 0.5 ** np.arange(_MAX_HALVINGS + 1):
+            trial = u + lam * du
+            if np.all(trial > 0) and np.max(np.abs(g_trial := grad(trial))) < np.max(np.abs(g)):
+                break
+        else:
             break
-    return [mp.mpf(v) for v in y.values()]
+        u, g = trial, g_trial
+    return [mp.mpf(v) for v in np.expm1(u).tolist()]
 
 
 def _solution(pair, y, residual, count, info, ctx) -> Solution:
@@ -506,16 +509,13 @@ def _polish(pair, system, y0, ctx):
 
 
 def solve_positive(pair: PairIndexing, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Solution:
-    """The solution with all x_i in (0, 1), from one fixed-point start.
-
-    The start is the all-ones vector in y coordinates (x = 1/2), driven into
-    the attracting basin by the cone-preserving fixed-point iteration; one
-    `_polish` run then finishes it.  Raises NoConvergence when the polish
-    finds no root or the root leaves (0, 1).
+    """The solution with all x_i in (0, 1): one `_polish` run from the float
+    start `_positive_start`.  Raises NoConvergence when the polish finds no
+    root or the root leaves (0, 1).
     """
     system = NahmPolynomialSystem(pair)
     with ctx.workprec(32):
-        found = _polish(pair, system, _positive_fixed_point(pair), ctx)
+        found = _polish(pair, system, _positive_start(pair), ctx)
         if found is None:
             raise NoConvergence(f"positive solve for {pair.label} found no root within tau_res")
         y, residual, info = found

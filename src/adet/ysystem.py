@@ -9,10 +9,10 @@ The recurrence, in adjacency form with tadpole loops included:
 Which factors, with which exponents, make up the right-hand side for each
 index is read from `PairIndexing.factors`, the one place the recurrence is
 encoded.  One step, `_next_level`, evaluates it over an arithmetic table for
-trajectories, tropical degrees (`_TROPICAL`), the constant Y-system
-(`constant_residual`) and the Nahm solver's positive start.  Real grids run
-on a correctly rounded binary kernel (`_binary`) that gives the bits of
-mp's operators, complex ones on libmp's mpc calls (`_table`).
+trajectories, tropical degrees (`_TROPICAL`) and the constant Y-system
+(`constant_residual`).  Real grids run on a correctly rounded binary kernel
+(`_binary`) that gives the bits of mp's operators, complex ones on libmp's
+mpc calls (`_table`).
 
 Seeding follows the canonical rule Y(0) = y and Y(-1) = 1/y componentwise
 (`_seeds`), and one level loop (`_levels`) runs the recurrence from there.
@@ -201,8 +201,7 @@ def _table(values, tol):
     bit-identical to theirs; `small` reads |x| <= tol from the exponents:
     with tol < 2^t, a finite x with `_top` e <= t - 2 is small and one with
     e > t is not; only in between, within a factor 4 of tol, is |x| taken.
-    Otherwise (mixed mpf and mpc, Fractions, floats, an infinite or nan
-    mpf): operators.
+    Otherwise (mixed mpf and mpc, Fractions, an infinite or nan mpf): operators.
     """
     kinds = set(map(type, values))
     if kinds == {mp.mpf} and all(v._mpf_[1] or not v._mpf_[2] for v in values):  # finite

@@ -199,9 +199,9 @@ def _count_calls(monkeypatch, fn):
 
 
 def test_report_solves_positive_once(tmp_path, monkeypatch, capsys):
-    # one solution set per report: the positive start is swept and polished
+    # one solution set per report: the positive start is found and polished
     # once, and the set's positive Solution feeds the residual record
-    sweeps = _count_calls(monkeypatch, solver._positive_fixed_point)
+    starts = _count_calls(monkeypatch, solver._positive_start)
     sets = []
     solve_all = solver.solve_all
 
@@ -214,7 +214,7 @@ def test_report_solves_positive_once(tmp_path, monkeypatch, capsys):
     assert run(["--json", str(path), "report", "--pair", "A1,T1", "--starts", "200",
                 "--points", "1", "--seeds", "1"]) == 0
     capsys.readouterr()
-    assert len(sweeps) == 1 and len(sets) == 1
+    assert len(starts) == 1 and len(sets) == 1
     sols = sets[0]
     assert any(max(abs(a - b) for a, b in zip(s.y, sols.positive.y)) < sols.dedup_tol
                for s in sols.solutions)

@@ -530,8 +530,9 @@ def test_factor_cache_matches_per_neighbour_step(case, bits, monkeypatch):
 
 
 # sha256 of `_trajectory_digest`, recorded when every all-mpf grid ran
-# through libmp's mpf_add, mpf_mul, mpf_div and mpf_rdiv_int
-TRAJECTORY_DIGEST = "359ead9ab40ecc5be6e65df785cd832136894e395c06c6d63917bdaf9b4d57d3"
+# through libmp's mpf_add, mpf_mul, mpf_div and mpf_rdiv_int, at the roots
+# the mp polish reaches from the float Newton start of `solve_positive`
+TRAJECTORY_DIGEST = "57e29f5da9599ef7f0b42129d889ef828330ac25efe0c65b0ae3c3bf99af8f1f"
 
 
 def _trajectory_digest() -> str:
