@@ -338,9 +338,10 @@ def _cmd_verify(args) -> VerificationReport:
     return VerificationReport(f"verify {args.what}", meta, tuple(records), args.seed, args.precision_bits)
 
 
-def _qseries_pair(a, b, c, residues, modulus, order):
+def _qseries_pair(a, b, c, identity, order):
+    """f_abc against the product over the residues and modulus of `identity`."""
     lhs = qseries.f_abc(a, b, c, order)
-    rhs = qseries.eta_like_product(residues, modulus, order, prefactor_exp=c)
+    rhs = qseries.eta_like_product(identity["residues"], identity["modulus"], order, prefactor_exp=c)
     return qseries.compare_series(lhs, rhs)
 
 
@@ -349,13 +350,13 @@ def _cmd_qseries(args) -> VerificationReport:
         order = args.N or 200
         records = tuple(CheckRecord.make(f"{name}: {r.name}", r.residual, r.tolerance)
                         for name, rr in (("first identity", RR_FIRST), ("second identity", RR_SECOND))
-                        for r in _qseries_pair([[2]], rr["B"], rr["C"], rr["residues"], 5, order).records)
+                        for r in _qseries_pair([[2]], rr["B"], rr["C"], rr, order).records)
         meta = {"order": order, "prefactors": ["-1/60", "11/60"]}
     elif args.what == "ag":
         order = args.N or 100
-        rep = _qseries_pair(AG_R2["A"], [0, 0], Fraction(0), AG_R2["residues"], 7, order)
-        records = rep.records
-        meta = {"order": order, "matrix": AG_R2["A"], "modulus": 7, "residues": list(AG_R2["residues"])}
+        records = _qseries_pair(AG_R2["A"], [0, 0], Fraction(0), AG_R2, order).records
+        meta = {"order": order, "matrix": AG_R2["A"], "modulus": AG_R2["modulus"],
+                "residues": list(AG_R2["residues"])}
     else:
         order = args.N or 100
         if args.matrix is None:

@@ -17,6 +17,7 @@ crawl.  The positive start is float Newton on the convex Nahm potential.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -468,8 +469,9 @@ def _positive_start(pair: PairIndexing):
     g = grad(u)
     for _ in range(_FLOAT_MAX_ITER):
         du = np.linalg.solve(a + np.diag(1 / np.expm1(u)), -g)
-        for lam in 0.5 ** np.arange(_MAX_HALVINGS + 1):
-            trial = u + lam * du
+        # lam halves: once u + lam du rounds to u, so does every later trial, and none can pass
+        trials = (u + lam * du for lam in 0.5 ** np.arange(_MAX_HALVINGS + 1))
+        for trial in itertools.takewhile(lambda t: not np.array_equal(t, u), trials):
             if np.all(trial > 0) and np.max(np.abs(g_trial := grad(trial))) < np.max(np.abs(g)):
                 break
         else:

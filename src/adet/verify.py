@@ -22,6 +22,7 @@ The directional gradients come from the tangent (linearized) Y-system on the
 same P+ levels as the values (`_tangent_grid`); the tests cross-check it
 against central finite differences of the recurrence, and the probes against
 the full pairing that the identity directions give.
+The dilogarithm sum reads its x = Y/(1+Y) off the same P+ grid.
 """
 from __future__ import annotations
 
@@ -55,12 +56,13 @@ def _tangent_grid(pair: PairIndexing, point, u_max: int, ctx: PrecisionContext, 
     gives the linear tangent recurrence on the plan `pair.factors`:
         g_k(u+1) = sum_ups m x_j(u) g_j(u) + sum_downs m (1-x_j(u)) g_j(u) - g_k(u-1),
     seeded by g_k(0) = v_k/y_k and g_k(-1) = -v_k/y_k.  The identity
-    directions e_1, ..., e_n give the full gradient G.
+    directions e_1, ..., e_n give the full gradient G; `dilog_sum_over_Splus`
+    passes none and reads only the values.
     """
     tol, active = mp.mpf(ctx.tau_res), pair.active_indices
     y = ysystem._seeds(pair, point, tol)
     levels = ysystem._levels(pair, {k: 1 / y[k] for k in active(-1)},
-                             {k: y[k] for k in active(0)}, u_max, tol, active)
+                             {k: y[k] for k in active(0)}, u_max, ysystem._table(y, tol), active)
     xs, grads = {}, {}
     for u, level in levels.items():
         for k, v in level.items():
@@ -144,20 +146,17 @@ def dilog_sum_over_Splus(pair: PairIndexing, point, ctx: PrecisionContext = DEFA
     """Signed sum  sum_{(i,u) in S+} d * D(Y_i(u) / (1 + Y_i(u)))  at the point.
 
     Vanishes (|sum| < 1e-18 at working precision) for every nondegenerate
-    evaluation point; the sum is independent of the point altogether.
+    evaluation point; the sum is independent of the point altogether.  x is
+    read off the P+ grid `_tangent_grid`, which the wedge check also builds.
     """
     with ctx.workprec():
         try:
-            traj = ysystem.iterate(pair, list(point), pair.period - 1, ctx)
+            grid = _tangent_grid(pair, point, pair.period - 1, ctx, [])
         except DegenerateStep as exc:
             raise DegeneratePoint(f"degenerate trajectory from evaluation point: {exc}") from exc
         total = mp.mpf(0)
         for (k, u) in pair.S_plus():
-            yv = traj.values[(k, u)]
-            w = 1 + yv
-            if abs(w) <= ctx.tau_res:
-                raise DegeneratePoint(f"1 + Y vanished at index {pair.indices[k]}, u={u}")
-            total += _resolve_d(pair, d_override, k, u) * bloch_wigner(yv / w, ctx)
+            total += _resolve_d(pair, d_override, k, u) * bloch_wigner(grid[k, u][1], ctx)
         return total
 
 

@@ -8,18 +8,17 @@ The recurrence, in adjacency form with tadpole loops included:
 
 Which factors, with which exponents, make up the right-hand side for each
 index is read from `PairIndexing.factors`, the one place the recurrence is
-encoded.  One step, `_next_level`, evaluates it over an arithmetic table for
-trajectories, tropical degrees (`_TROPICAL`) and the constant Y-system
-(`constant_residual`).  Real grids run on a correctly rounded binary kernel
-(`_binary`) that gives the bits of mp's operators, complex ones on libmp's
-mpc calls (`_table`).
+encoded.  One step, `_next_level`, evaluates it over an arithmetic table, and
+one level loop, `_levels`, drives it for trajectories, tropical degrees
+(`_TROPICAL`), the constant Y-system (`constant_residual`) and `verify`.
+Real grids run on a correctly rounded binary kernel (`_binary`) that gives
+the bits of mp's operators, complex ones on libmp's mpc calls (`_complex`).
 
 Seeding follows the canonical rule Y(0) = y and Y(-1) = 1/y componentwise
-(`_seeds`), and one level loop (`_levels`) runs the recurrence from there.
-For bipartite pairs this fills both decoupled parity copies at once: the
-values with (index, u) in P+ are exactly the canonical rational functions of
-the seed vector y and never read the opposite-parity copy, so the tangent
-grid of `verify` runs the same loop on the P+ indices alone.
+(`_seeds`).  For bipartite pairs the full grid fills both decoupled parity
+copies at once: the values with (index, u) in P+ are exactly the canonical
+rational functions of the seed vector y and never read the opposite-parity
+copy, so the P+ grid of `verify` runs the level loop on the P+ indices alone.
 """
 from __future__ import annotations
 
@@ -51,15 +50,12 @@ ESCALATION_THRESHOLD = 1e30
 ESCALATED_BITS = 256
 
 
-# One recurrence step's operations: 1 + y, 1 + 1/y, *, /, 1/x, x**m, |x| <= tol.
-_Arithmetic = namedtuple("_Arithmetic", "one_plus one_plus_inv mul div recip pow small")
+# One recurrence step's operations: 1 + y, *, /, 1/x, x**m, |x| <= tol.
+_Arithmetic = namedtuple("_Arithmetic", "one_plus mul div recip pow small")
 
-# For mpc: raw attribute, wrapper, the libmp calls of its operators for 1 + y,
-# 1/y, *, /, ** int and abs, and the exponent band in which `small` takes |x|.
-_LIBMP = {
-    mp.mpc: ("_mpc_", mp.make_mpc, libmp.mpc_add_mpf, functools.partial(libmp.mpc_mpf_div, libmp.fone),
-             libmp.mpc_mul, libmp.mpc_div, libmp.mpc_pow_int, libmp.mpc_abs, 2),
-}
+# The mpc table's `small` takes |x| only for a value whose `_top` lies within
+# this many binades below tol's.
+_COMPLEX_BAND = 2
 
 # The binary kernel's zero: its exponent puts it below every tolerance and
 # sends every sum with it to the far-operand path.
@@ -186,45 +182,50 @@ def _binary(prec: int, tol):
     def pow_(x, m):
         return raw(mp.make_mpf(libmp.mpf_pow_int(_to_libmp(*x), m, prec, libmp.round_nearest)))
 
-    return (_Arithmetic(functools.partial(add, one), lambda y: add(div(one, y), one), mul, div,
-                        functools.partial(div, one), pow_, small),
+    return (_Arithmetic(functools.partial(add, one), mul, div, functools.partial(div, one), pow_, small),
             raw, lambda x: mp.make_mpf(_to_libmp(*x)))
 
 
-def _table(values, tol):
-    """(table, raw, wrap) for a grid seeded with `values`, with the
-    conversions of a value to and from the table's representation.
+def _complex(prec: int, tol):
+    """(table, raw, wrap) of raw libmp mpc tuples at `prec` bits.
 
-    All finite mpf: the binary kernel `_binary` at the working precision.
-    All mpc: raw libmp tuples at the working precision, through the calls
-    mp's operators make, rounding to nearest, so every value is
-    bit-identical to theirs; `small` reads |x| <= tol from the exponents:
-    with tol < 2^t, a finite x with `_top` e <= t - 2 is small and one with
-    e > t is not; only in between, within a factor 4 of tol, is |x| taken.
-    Otherwise (mixed mpf and mpc, Fractions, an infinite or nan mpf): operators.
+    Each operation is the libmp call mp's operators make, rounding to
+    nearest, so every value is bit-identical to theirs.  `small` reads
+    |x| <= tol from the exponents: with tol < 2^t, a finite x with `_top`
+    e <= t - `_COMPLEX_BAND` is small and one with e > t is not; only in
+    between, within a factor 4 of tol, is |x| taken.
     """
-    kinds = set(map(type, values))
-    if kinds == {mp.mpf} and all(v._mpf_[1] or not v._mpf_[2] for v in values):  # finite
-        return _binary(mp.mp.prec, tol)
-    if kinds != {mp.mpc}:
-        return (_Arithmetic(lambda y: 1 + y, lambda y: 1 + 1 / y, operator.mul, operator.truediv,
-                            lambda x: 1 / x, operator.pow, lambda x: abs(x) <= tol),
-                lambda v: v, lambda v: v)
-    attr, wrap, add, rdiv, mul, div, pow_, abs_, band = _LIBMP[mp.mpc]
-    prec, rnd, one = mp.mp.prec, libmp.round_nearest, libmp.fone
+    rnd, one = libmp.round_nearest, libmp.fone
     tol = mp.mpf(tol)._mpf_
-    hi, lo = _top(tol), _top(tol) - band
+    hi, lo = _top(tol), _top(tol) - _COMPLEX_BAND
 
     def small(x):
         e = _top(x)
         if e <= lo or e > hi:
             return e <= lo
-        return libmp.mpf_le(abs_(x, prec, rnd), tol)
+        return libmp.mpf_le(libmp.mpc_abs(x, prec, rnd), tol)
 
-    return (_Arithmetic(lambda y: add(y, one, prec, rnd), lambda y: add(rdiv(y, prec, rnd), one, prec, rnd),
-                        lambda a, b: mul(a, b, prec, rnd), lambda a, b: div(a, b, prec, rnd),
-                        lambda x: rdiv(x, prec, rnd), lambda x, m: pow_(x, m, prec, rnd), small),
-            operator.attrgetter(attr), wrap)
+    return (_Arithmetic(lambda y: libmp.mpc_add_mpf(y, one, prec, rnd),
+                        lambda a, b: libmp.mpc_mul(a, b, prec, rnd),
+                        lambda a, b: libmp.mpc_div(a, b, prec, rnd),
+                        lambda x: libmp.mpc_mpf_div(one, x, prec, rnd),
+                        lambda x, m: libmp.mpc_pow_int(x, m, prec, rnd), small),
+            operator.attrgetter("_mpc_"), mp.make_mpc)
+
+
+def _table(values, tol):
+    """(table, raw, wrap) for a grid seeded with `values`, at the working
+    precision: `_binary` for all finite mpf, `_complex` for all mpc, and
+    otherwise (mixed mpf and mpc, Fractions, an infinite or nan mpf) operators.
+    """
+    kinds = set(map(type, values))
+    if kinds == {mp.mpf} and all(v._mpf_[1] or not v._mpf_[2] for v in values):  # finite
+        return _binary(mp.mp.prec, tol)
+    if kinds == {mp.mpc}:
+        return _complex(mp.mp.prec, tol)
+    return (_Arithmetic(lambda y: 1 + y, operator.mul, operator.truediv, lambda x: 1 / x, operator.pow,
+                        lambda x: abs(x) <= tol),
+            lambda v: v, lambda v: v)
 
 
 def _next_level(pair: PairIndexing, prev: dict, cur: dict, ks, ar: _Arithmetic, u):
@@ -237,7 +238,7 @@ def _next_level(pair: PairIndexing, prev: dict, cur: dict, ks, ar: _Arithmetic, 
     time an index reads it, so the first error raised is the one a check per
     reading would raise.
     """
-    one_plus, one_plus_inv, mul, div, recip, pow_, small = ar
+    one_plus, mul, div, recip, pow_, small = ar
     out = {}
     indices = pair.indices
     plus, inv = {}, {}
@@ -259,7 +260,7 @@ def _next_level(pair: PairIndexing, prev: dict, cur: dict, ks, ar: _Arithmetic, 
                 yv = cur[j]
                 if small(yv):
                     raise DegenerateStep("Y vanished where its inverse is needed", index=indices[j], u=u)
-                f = inv[j] = one_plus_inv(yv)
+                f = inv[j] = one_plus(recip(yv))
                 if small(f):
                     raise DegenerateStep("factor 1+1/Y vanished", index=indices[j], u=u)
             fm = f if m == 1 else pow_(f, m)
@@ -295,14 +296,15 @@ def _seeds(pair: PairIndexing, y, tol) -> list:
     return yv
 
 
-def _levels(pair: PairIndexing, level_m1: dict, level_0: dict, u_max: int, tol, active) -> dict:
+def _levels(pair: PairIndexing, level_m1: dict, level_0: dict, u_max: int, table, active) -> dict:
     """Levels -1 <= u <= u_max of the recurrence from its two seed levels;
     level u holds the indices `active(u)`.
 
-    The seed types choose the arithmetic table (`_table`); the seeds are
-    converted to its raw form once, and each new value wrapped back once.
+    `table` is the (table, raw, wrap) the step `_next_level` runs on, as
+    `_table` gives it; the seeds are converted to the raw form once, and each
+    new value wrapped back once.
     """
-    ar, raw, wrap = _table([*level_m1.values(), *level_0.values()], tol)
+    ar, raw, wrap = table
     levels = {-1: level_m1, 0: level_0}
     prev, cur = ({k: raw(v) for k, v in level.items()} for level in (level_m1, level_0))
     for u in range(u_max):
@@ -329,7 +331,7 @@ def _run_grid(pair: PairIndexing, y, u_max: int, bits: int, tol):
         tol = mp.mpf(tol)
         yv = _seeds(pair, y, tol)
         levels = _levels(pair, {k: 1 / v for k, v in enumerate(yv)}, dict(enumerate(yv)),
-                         u_max, tol, lambda u: range(pair.n))
+                         u_max, _table(yv, tol), lambda u: range(pair.n))
         peak = _peak([v for level in levels.values() for v in level.values()])
     return levels, peak
 
@@ -401,10 +403,10 @@ def check_periodicity(traj: YTrajectory, ctx: PrecisionContext = DEFAULT_CONTEXT
 
 
 # The tropical semifield on integer degrees: a factor 1 + Y has degree
-# min(0, deg Y) and 1 + 1/Y has min(0, -deg Y); products add degrees,
-# quotients subtract, powers multiply, and no degree is degenerate.
-_TROPICAL = _Arithmetic(lambda d: min(0, d), lambda d: min(0, -d), operator.add, operator.sub,
-                        operator.neg, operator.mul, lambda d: False)
+# min(0, deg Y); products add degrees, quotients subtract, 1/Y negates,
+# powers multiply, and no degree is degenerate.
+_TROPICAL = _Arithmetic(lambda d: min(0, d), operator.add, operator.sub, operator.neg, operator.mul,
+                        lambda d: False)
 
 
 @functools.cache
@@ -412,16 +414,13 @@ def _tropical_table(pair: PairIndexing) -> tuple:
     """Exponents d_k of the leading monomials eps**d_k of Y(u) at all seeds eps,
     one tuple per level 0 <= u < period, in one pass; memoised per pair.
 
-    The step `_next_level` on the tropical table `_TROPICAL`, from
-    deg Y(0) = 1 and deg Y(-1) = -1.
+    The level loop `_levels` on the tropical table `_TROPICAL` (plain int
+    degrees, so `int` reads and wraps them), from deg Y(0) = 1, deg Y(-1) = -1.
     """
     ks = range(pair.n)
-    prev, cur = dict.fromkeys(ks, -1), dict.fromkeys(ks, 1)
-    table = []
-    for u in range(pair.period):
-        table.append(tuple(cur.values()))
-        prev, cur = cur, _next_level(pair, prev, cur, ks, _TROPICAL, u + 1)
-    return tuple(table)
+    levels = _levels(pair, dict.fromkeys(ks, -1), dict.fromkeys(ks, 1), pair.period - 1,
+                     (_TROPICAL, int, int), lambda u: ks)
+    return tuple(tuple(levels[u].values()) for u in range(pair.period))
 
 
 def monomial_sign(pair: PairIndexing, k: int, u: int,
@@ -457,7 +456,5 @@ def constant_residual(pair: PairIndexing, y, ctx: PrecisionContext = DEFAULT_CON
         for k, v in yv.items():
             if abs(v) <= tol or abs(1 + v) <= tol:
                 raise DegenerateInput(f"component {pair.indices[k]} sits at a degenerate value")
-        ar, raw, wrap = _table(list(yv.values()), tol)
-        seed = {k: raw(v) for k, v in yv.items()}
-        step = _next_level(pair, seed, seed, yv.keys(), ar, 1)
-        return max(abs(wrap(v) - yv[k]) for k, v in step.items())
+        step = _levels(pair, yv, yv, 1, _table(list(yv.values()), tol), lambda u: yv.keys())[1]
+        return max(abs(v - yv[k]) for k, v in step.items())

@@ -4,7 +4,7 @@ import pytest
 
 from adet import PrecisionContext, pair_indexing, parse_diagram
 from adet.precision import to_mpc
-from adet.ysystem import _levels
+from adet.ysystem import _levels, _table
 # Near-positive complex evaluation points, drawn exactly as the CLI draws them.
 from adet.cli import _sample_points as sample_points  # noqa: F401
 
@@ -40,7 +40,8 @@ def step(p, y_prev, y_cur, ctx):
     recurrence's level loop, at the context's working precision."""
     with ctx.workprec():
         prev, cur = ({k: to_mpc(v) for k, v in enumerate(y)} for y in (y_prev, y_cur))
-        level = _levels(p, prev, cur, 1, mp.mpf(ctx.tau_res), lambda u: range(p.n))[1]
+        table = _table([*prev.values(), *cur.values()], mp.mpf(ctx.tau_res))
+        level = _levels(p, prev, cur, 1, table, lambda u: range(p.n))[1]
         return [level[k] for k in range(p.n)]
 
 

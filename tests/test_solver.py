@@ -150,6 +150,36 @@ def test_positive_start_is_near_the_root(label, ctx128):
     assert max(abs(a - b) / abs(b) for a, b in zip(start, root)) < 1e-8
 
 
+def _positive_start_exhaustive(p):
+    """Test oracle: `_positive_start` with every step trying all
+    _MAX_HALVINGS + 1 step lengths, however far below the rounding floor."""
+    a = np.kron(2 * np.eye(p.r) - p.ix, np.linalg.inv(2 * np.eye(p.rp) - p.ixp))
+
+    def grad(u):
+        return a @ u + np.log(-np.expm1(-u))
+
+    u = np.ones(p.n)
+    g = grad(u)
+    for _ in range(solver._FLOAT_MAX_ITER):
+        du = np.linalg.solve(a + np.diag(1 / np.expm1(u)), -g)
+        for lam in 0.5 ** np.arange(solver._MAX_HALVINGS + 1):
+            trial = u + lam * du
+            if np.all(trial > 0) and np.max(np.abs(g_trial := grad(trial))) < np.max(np.abs(g)):
+                break
+        else:
+            break
+        u, g = trial, g_trial
+    return [mp.mpf(v) for v in np.expm1(u).tolist()]
+
+
+@pytest.mark.parametrize("label", ["D30,A1", "A1,D36", "D31,T1", "T32,T2", "E8,E8",
+                                   "A1,T1", "A1,T2", "A1,T3", "A1,T4"])
+def test_positive_start_stops_at_the_rounding_floor(label):
+    # ending the halving search once u + lam du rounds to u changes no bit
+    p = pair(label)
+    assert [v._mpf_ for v in solver._positive_start(p)] == [v._mpf_ for v in _positive_start_exhaustive(p)]
+
+
 # Newton iterations of the positive solution's polish; the crawl stop must
 # not cut any of these runs short.  The step that ends a run scales as
 # 2^-bits, so at 256 bits each run of 2 iterations takes two more

@@ -276,6 +276,36 @@ def test_dilog_sum_vanishes_at_complex_points(label, ctx128, rng):
     assert spread < 1e-18
 
 
+def _dilog_sum_on_full_grid(p, point, ctx):
+    """Test oracle: the dilogarithm sum over `iterate`'s full grid, both
+    parity copies of a bipartite pair, with x = Y/(1+Y) formed per term."""
+    with ctx.workprec():
+        traj = iterate(p, list(point), p.period - 1, ctx)
+        total = mp.mpf(0)
+        for (k, u) in p.S_plus():
+            yv = traj.values[k, u]
+            total += p.d * adet.bloch_wigner(yv / (1 + yv), ctx)
+        return total
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("label", ["A1,T1", "A2,T1", "E6,A1", "D4,A1", "A2,A2", "T2,T2"])
+def test_dilog_sum_matches_full_grid(label, bits, monkeypatch):
+    # the sum read off the P+ grid is bit for bit the sum over iterate's
+    # full grid, at CLI points, and never calls iterate
+    p = pair(label)
+    ctx = adet.PrecisionContext(mantissa_bits=bits)
+    points = sample_points(p, 3, np.random.default_rng(0))
+    refs = [_dilog_sum_on_full_grid(p, pt, ctx) for pt in points]
+
+    def no_iterate(*args, **kwargs):
+        raise AssertionError("dilog_sum_over_Splus called iterate")
+
+    monkeypatch.setattr(adet.ysystem, "iterate", no_iterate)
+    for pt, ref in zip(points, refs):
+        assert dilog_sum_over_Splus(p, pt, ctx)._mpf_ == ref._mpf_, (label, bits, pt)
+
+
 def test_dilog_sum_origin_limit(ctx128):
     # shrinking complex seeds toward 0: every term D(f) -> 0 individually
     p = pair("A1,T1")

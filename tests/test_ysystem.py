@@ -14,8 +14,8 @@ from adet import (check_periodicity, constant_residual, iterate, monomial_sign, 
                   wedge_form_residual)
 from adet.errors import DegenerateInput, DegenerateStep, WindowTooShort
 from adet.precision import GUARD_BITS, to_mpc
-from adet.ysystem import (ESCALATION_THRESHOLD, _binary, _levels, _next_level, _peak, _run_grid, _seeds,
-                          _table, _to_libmp, _top, _tropical_table)
+from adet.ysystem import (ESCALATION_THRESHOLD, _binary, _complex, _levels, _next_level, _peak, _run_grid,
+                          _seeds, _table, _to_libmp, _top, _tropical_table)
 
 from conftest import ACCEPT_PAIRS, all_pairs_up_to, pair, sample_points, step
 
@@ -107,7 +107,7 @@ def test_decoupling_bit_identical(ctx128, rng):
             yv = _seeds(p, y, ctx128.tau_res)
             levels = _levels(p, {k: 1 / yv[k] for k in p.active_indices(-1)},
                              {k: yv[k] for k in p.active_indices(0)},
-                             p.period, ctx128.tau_res, p.active_indices)
+                             p.period, _table(yv, ctx128.tau_res), p.active_indices)
         plus = {(k, u): v for u, level in levels.items() for k, v in level.items()}
         assert set(plus) == {key for key in traj.values if p.in_P_plus(*key)}, label
         for key, v in plus.items():
@@ -313,7 +313,7 @@ def test_periodicity_exact_rational_seeds():
         p = pair(label)
         y = [Fraction(int(a), int(b)) for a, b in rng.integers(1, 10, size=(p.n, 2))]
         levels = _levels(p, {k: 1 / v for k, v in enumerate(y)}, dict(enumerate(y)),
-                         p.period, 0, lambda u: range(p.n))
+                         p.period, _table(y, 0), lambda u: range(p.n))
         assert levels[p.period - 1] == levels[-1] and levels[p.period] == levels[0], label
 
 
@@ -350,7 +350,7 @@ def _next_level_per_neighbour(pair, prev, cur, ks, ar, u):
             yv = cur[j]
             if ar.small(yv):
                 raise DegenerateStep("Y vanished where its inverse is needed", index=pair.indices[j], u=u)
-            f = ar.one_plus_inv(yv)
+            f = ar.one_plus(ar.recip(yv))
             if ar.small(f):
                 raise DegenerateStep("factor 1+1/Y vanished", index=pair.indices[j], u=u)
             fm = f if m == 1 else ar.pow(f, m)
@@ -589,6 +589,12 @@ def _truncating_binary(prec, tol):
     return ar._replace(div=div), raw, wrap
 
 
+def _floor_dividing_complex(prec, tol):
+    """The mpc table with a division that rounds down instead of to nearest."""
+    ar, raw, wrap = _complex(prec, tol)
+    return ar._replace(div=lambda a, b: libmp.mpc_div(a, b, prec, libmp.round_floor)), raw, wrap
+
+
 @pytest.mark.parametrize("case,kind", [("E6,A1", mp.mpf), ("E6,A1 complex", mp.mpc)])
 def test_oracle_sees_a_rounding_mutant(case, kind, monkeypatch):
     # the comparison is not vacuous: a division rounding down instead of to
@@ -599,9 +605,7 @@ def test_oracle_sees_a_rounding_mutant(case, kind, monkeypatch):
     if kind is mp.mpf:
         monkeypatch.setattr(adet.ysystem, "_binary", _truncating_binary)
     else:
-        attr, wrap, add, rdiv, mul, div, *rest = adet.ysystem._LIBMP[kind]
-        floor_div = lambda a, b, prec, rnd: div(a, b, prec, libmp.round_floor)  # noqa: E731
-        monkeypatch.setitem(adet.ysystem._LIBMP, kind, (attr, wrap, add, rdiv, mul, floor_div, *rest))
+        monkeypatch.setattr(adet.ysystem, "_complex", _floor_dividing_complex)
     mutant = iterate(p, y, 2 * p.period, ctx)
     _reference_path(monkeypatch)
     assert _bits(mutant.values) != _bits(iterate(p, y, 2 * p.period, ctx).values)
@@ -666,8 +670,7 @@ def test_small_sees_a_narrow_band(kind, monkeypatch):
         mutants = [lambda top: (lambda x: x[1] + x[0].bit_length() <= top),
                    lambda top: (lambda x: x[1] + x[0].bit_length() < top)]
     else:
-        entry = adet.ysystem._LIBMP[kind]
-        monkeypatch.setitem(adet.ysystem._LIBMP, kind, (*entry[:-1], entry[-1] - 1))
+        monkeypatch.setattr(adet.ysystem, "_COMPLEX_BAND", adet.ysystem._COMPLEX_BAND - 1)
         mutants = [None]
     with mp.workprec(144):
         for mutant in mutants:
