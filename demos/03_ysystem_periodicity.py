@@ -3,7 +3,7 @@
 The recurrence Y(u-1) Y(u+1) = prod (1+Y)^I / prod (1+1/Y)^I' is iterated
 from random positive seeds; every trajectory repeats after 2(h+h') steps.
 The check runs at 256 bits and measures max |Y(u + 2(h+h')) - Y(u)|
-relative to max(1, |Y(u)|).
+relative to |Y(u)|.
 """
 import mpmath as mp
 import numpy as np

@@ -10,7 +10,8 @@ class InvalidDiagram(AdetError, ValueError):
 
 
 class DegenerateStep(AdetError, ArithmeticError):
-    """A Y-system step hit Y = 0 or 1 + Y = 0 within tolerance."""
+    """A Y-system seed is 0 within tolerance or not finite, or a step's factor
+    1 + Y or 1 + 1/Y is 0 within tolerance."""
 
     def __init__(self, message, index=None, u=None):
         super().__init__(message)

@@ -21,7 +21,8 @@ GUARD_BITS = 16
 class PrecisionContext:
     """Mantissa size plus the tolerances derived checks compare against.
 
-    tau_res also guards Y in {0, -1} during trajectory steps.
+    tau_res also guards the factors 1 + Y and 1 + 1/Y of trajectory steps,
+    and the seeds against 0; a small Y itself is no degeneracy.
     """
 
     mantissa_bits: int = 128

@@ -44,12 +44,6 @@ __all__ = [
     "constant_residual",
 ]
 
-# Magnitudes beyond this (or below its inverse) anywhere on the grid trigger a
-# re-run of the whole grid at 256 bits.
-ESCALATION_THRESHOLD = 1e30
-ESCALATED_BITS = 256
-
-
 # One recurrence step's operations: 1 + y, *, /, 1/x, x**m, |x| <= tol.
 _Arithmetic = namedtuple("_Arithmetic", "one_plus mul div recip pow small")
 
@@ -233,10 +227,12 @@ def _next_level(pair: PairIndexing, prev: dict, cur: dict, ks, ar: _Arithmetic, 
     flattened indices to values in the table's representation.
 
     The right-hand side for index k is the plan `pair.factors[k]`.  A factor
-    or divisor that `ar.small` finds raises `DegenerateStep`.  Each factor
-    1 + Y_j or 1 + 1/Y_j is formed and checked once per level, the first
-    time an index reads it, so the first error raised is the one a check per
-    reading would raise.
+    1 + Y_j or 1 + 1/Y_j that `ar.small` finds raises `DegenerateStep`.  Each
+    factor is formed and checked once per level, the first time an index
+    reads it, so the first error raised is the one a check per reading would
+    raise.  A divisor Y is not tested: each Y is a quotient of nonzero
+    values (seeds `_seeds` checked, their inverses, checked factors) and no
+    table underflows, so no Y is exactly 0, and a small |Y| is no degeneracy.
     """
     one_plus, mul, div, recip, pow_, small = ar
     out = {}
@@ -257,20 +253,14 @@ def _next_level(pair: PairIndexing, prev: dict, cur: dict, ks, ar: _Arithmetic, 
         for j, m in downs:
             f = inv.get(j)
             if f is None:
-                yv = cur[j]
-                if small(yv):
-                    raise DegenerateStep("Y vanished where its inverse is needed", index=indices[j], u=u)
-                f = inv[j] = one_plus(recip(yv))
+                f = inv[j] = one_plus(recip(cur[j]))
                 if small(f):
                     raise DegenerateStep("factor 1+1/Y vanished", index=indices[j], u=u)
             fm = f if m == 1 else pow_(f, m)
             den = fm if den is None else mul(den, fm)
-        pv = prev[k]
-        if small(pv):
-            raise DegenerateStep("Y(u-1) vanished", index=indices[k], u=u)
         if den is not None:
             num = recip(den) if num is None else div(num, den)
-        out[k] = recip(pv) if num is None else div(num, pv)
+        out[k] = recip(prev[k]) if num is None else div(num, prev[k])
     return out
 
 
@@ -288,11 +278,15 @@ class YTrajectory:
 
 
 def _seeds(pair: PairIndexing, y, tol) -> list:
-    """The seed vector y as mp numbers; DegenerateStep at a zero component."""
+    """The seed vector y as mp numbers; DegenerateStep at a component with
+    |y_k| <= tol or a nan or infinite one.  This is the one place a divisor
+    of the recurrence is tested: each later Y is a quotient of nonzero values."""
     yv = [to_mpc(v) for v in y]
     for k, v in enumerate(yv):
         if abs(v) <= tol:
             raise DegenerateStep("zero seed component", index=pair.indices[k], u=0)
+        if not mp.isfinite(v):
+            raise DegenerateStep("non-finite seed component", index=pair.indices[k], u=0)
     return yv
 
 
@@ -313,60 +307,37 @@ def _levels(pair: PairIndexing, level_m1: dict, level_0: dict, u_max: int, table
     return levels
 
 
-def _peak(values: list) -> float:
-    """max(max |Y|, 1/min |Y|) over the finite mp numbers `values`, as a float.
-    |Y| lies in [2^(e-1), 2^(e+1)) for e = `_top` of its raw form, so only
-    values within one binade of the extreme e's are taken."""
-    es = [_top(v._mpc_ if type(v) is mp.mpc else v._mpf_) for v in values]
-    hi_e, lo_e = max(es) - 1, min(es) + 1
-    hi = max(abs(v) for v, e in zip(values, es) if e >= hi_e)
-    lo = min(abs(v) for v, e in zip(values, es) if e <= lo_e)
-    return max(float(hi), float(1 / lo)) if lo > 0 else math.inf
-
-
-def _run_grid(pair: PairIndexing, y, u_max: int, bits: int, tol):
-    """Iterate the full grid at the given precision; returns the levels and
-    their magnitude peak max(max |Y|, 1/min |Y|)."""
-    with mp.workprec(bits + GUARD_BITS):
-        tol = mp.mpf(tol)
-        yv = _seeds(pair, y, tol)
-        levels = _levels(pair, {k: 1 / v for k, v in enumerate(yv)}, dict(enumerate(yv)),
-                         u_max, _table(yv, tol), lambda u: range(pair.n))
-        peak = _peak([v for level in levels.values() for v in level.values()])
-    return levels, peak
-
-
 def iterate(pair: PairIndexing, y, u_max: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> YTrajectory:
-    """Fill the trajectory for -1 <= u <= u_max from seeds Y(0)=y, Y(-1)=1/y.
+    """Fill the trajectory for -1 <= u <= u_max from seeds Y(0)=y, Y(-1)=1/y,
+    at the context's working precision.
 
-    When any magnitude on the grid exceeds 1e30 (or drops below 1e-30) and
-    the context is below 256 bits, the whole grid is recomputed at 256 bits.
+    The seeds are checked once (`_seeds`); past them only a factor 1 + Y or
+    1 + 1/Y within tau_res of 0 stops the grid, never the size of a Y.
     """
     if u_max < 0:
         raise ValueError("u_max must be nonnegative")
     if len(y) != pair.n:
         raise ValueError(f"expected a seed vector of length {pair.n}")
-    tol = ctx.tau_res
-    bits = ctx.mantissa_bits
-    levels, peak = _run_grid(pair, y, u_max, bits, tol)
-    if bits < ESCALATED_BITS and peak > ESCALATION_THRESHOLD:
-        bits = ESCALATED_BITS
-        levels, _ = _run_grid(pair, y, u_max, bits, tol)
+    with ctx.workprec():
+        tol = mp.mpf(ctx.tau_res)
+        yv = _seeds(pair, y, tol)
+        levels = _levels(pair, {k: 1 / v for k, v in enumerate(yv)}, dict(enumerate(yv)),
+                         u_max, _table(yv, tol), lambda u: range(pair.n))
     values = {(k, u): v for u, level in levels.items() for k, v in level.items()}
-    return YTrajectory(pair=pair, u_max=u_max, values=values, precision_bits=bits)
+    return YTrajectory(pair=pair, u_max=u_max, values=values, precision_bits=ctx.mantissa_bits)
 
 
 def check_periodicity(traj: YTrajectory, ctx: PrecisionContext = DEFAULT_CONTEXT) -> VerificationReport:
     """Verify Y(u + 2(h+h')) = Y(u) over the stored window, relative to |Y(u)|.
 
-    The residual is max |Y(u+p) - Y(u)| / 2^max(0, e), with e the `_top` of
-    Y(u): a power of two within a factor 2 of max(1, |Y(u)|), so the gate
-    tau_eq reads relative error where |Y| is large and absolute error where
-    it is small.  The differences run on the raw libmp values through the
-    calls mp's operators make, bit-identical to |a - b| on the mp numbers,
-    and the division by a power of two is exact.  A grid with an mpc value
-    compares as mpc, with each mpf x read as (x, 0), which gives the same
-    difference and |.| as the mpf calls.
+    The residual is max |Y(u+p) - Y(u)| / 2^e, with e the `_top` of Y(u): a
+    power of two within a factor 2 of |Y(u)|, so the gate tau_eq reads
+    relative error at every magnitude, far below |Y| = 1 too.  The
+    differences run on the raw libmp values through the calls mp's
+    operators make, bit-identical to |a - b| on the mp numbers, and the
+    division by a power of two is exact.  A grid with an mpc value compares
+    as mpc, with each mpf x read as (x, 0), which gives the same difference
+    and |.| as the mpf calls.
     """
     pair = traj.pair
     period = pair.period
@@ -387,11 +358,11 @@ def check_periodicity(traj: YTrajectory, ctx: PrecisionContext = DEFAULT_CONTEXT
             for k in range(pair.n):
                 base = raw(values[k, u])
                 diff = abs_(sub(raw(values[k, u + period]), base, prec, rnd), prec, rnd)
-                diff = libmp.mpf_shift(diff, -max(0, _top(base)))
+                diff = libmp.mpf_shift(diff, -_top(base))
                 if libmp.mpf_gt(diff, worst):
                     worst = diff
                     worst_at = (pair.indices[k], u)
-    rec = CheckRecord.make("max |Y(u+2(h+h')) - Y(u)| relative to max(1, |Y(u)|)",
+    rec = CheckRecord.make("max |Y(u+2(h+h')) - Y(u)| relative to |Y(u)|",
                            mp.make_mpf(worst), ctx.tau_eq)
     return VerificationReport(
         command="check_periodicity",

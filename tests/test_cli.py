@@ -74,6 +74,19 @@ def test_verify_wedge_and_dilogsum(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("label", ["A1,T24", "A1,T30", "A1,D33"])
+@pytest.mark.parametrize("family,flag", [("periodicity", "--seeds"), ("wedge", "--points"),
+                                         ("dilogsum", "--points")])
+def test_verify_long_chains(label, family, flag, tmp_path, capsys):
+    # these chains reach |Y| below 1e-20 from seeds in [0.5, 2]; a magnitude
+    # is no degeneracy, so each family runs, passes and reads a nonzero residual
+    path = tmp_path / "v.json"
+    assert run(["--json", str(path), "verify", family, "--pair", label, flag, "1"]) == 0
+    capsys.readouterr()
+    records = json.loads(path.read_text())["records"]
+    assert records and all(r["passed"] and r["residual"] > 0 for r in records), records
+
+
 def test_verify_fiveterm(capsys):
     assert run(["verify", "fiveterm", "--points", "40"]) == 0
     capsys.readouterr()

@@ -14,8 +14,8 @@ from adet import (check_periodicity, constant_residual, iterate, monomial_sign, 
                   wedge_form_residual)
 from adet.errors import DegenerateInput, DegenerateStep, WindowTooShort
 from adet.precision import GUARD_BITS, to_mpc
-from adet.ysystem import (ESCALATION_THRESHOLD, _binary, _complex, _levels, _next_level, _peak, _run_grid,
-                          _seeds, _table, _to_libmp, _top, _tropical_table)
+from adet.ysystem import (_binary, _complex, _levels, _next_level, _seeds, _table, _to_libmp, _top,
+                          _tropical_table)
 
 from conftest import ACCEPT_PAIRS, all_pairs_up_to, pair, sample_points, step
 
@@ -53,8 +53,6 @@ def test_step_degenerate_inputs(ctx128):
     # each error with its message, index and u, on the mpf and the mpc table
     p = pair("A1,T1")
     cases = [
-        (p, [1.0], [0.0], "Y vanished where its inverse is needed"),
-        (p, [0.0], [1.0], "Y(u-1) vanished"),
         (p, [1.0], [-1.0], "factor 1+1/Y vanished"),
         (pair("A2,A1"), [1.0, 1.0], [-1.0, 1.0], "factor 1+Y vanished"),
     ]
@@ -94,6 +92,12 @@ def test_iterate_random_positive_seeds(ctx128, rng):
 def test_iterate_zero_seed_raises(ctx128):
     with pytest.raises(DegenerateStep):
         iterate(pair("A1,A1"), [0.0], 4, ctx128)
+    # a nan seed would run to a grid of nans that compares as periodic, and
+    # an infinite one to Y(-1) = 0: the seed check refuses both
+    for bad in (float("nan"), float("inf"), -float("inf"), mp.inf, complex(1, float("nan"))):
+        with pytest.raises(DegenerateStep) as exc:
+            iterate(pair("A2,A1"), [1.0, bad], 20, ctx128)
+        assert (str(exc.value), exc.value.index, exc.value.u) == ("non-finite seed component", (1, 0), 0)
 
 
 def test_decoupling_bit_identical(ctx128, rng):
@@ -147,17 +151,17 @@ def test_periodicity_window_too_short(ctx128):
 
 
 def _relative_periodicity_oracle(traj):
-    """max |Y(u+p) - Y(u)| / max(1, |Y(u)|) over the window, on mp numbers."""
+    """max |Y(u+p) - Y(u)| / |Y(u)| over the window, on mp numbers."""
     p = traj.pair
     with mp.workprec(traj.precision_bits + GUARD_BITS):
-        return max(abs(traj.value(k, u + p.period) - traj.value(k, u)) / max(1, abs(traj.value(k, u)))
+        return max(abs(traj.value(k, u + p.period) - traj.value(k, u)) / abs(traj.value(k, u))
                    for u in range(traj.u_max - p.period + 1) for k in range(p.n))
 
 
 @pytest.mark.parametrize("label,imag", [("A1,T1", 0), ("A2,A1", 0), ("E6,A1", 0), ("E8,A1", 0),
                                         ("A2,T1", 0.1), ("D4,A1", 0.1)])
 def test_periodicity_residual_is_relative(label, imag, ctx128, rng):
-    # the residual divides by a power of two within a factor 2 of max(1, |Y(u)|)
+    # the residual divides by a power of two within a factor 2 of |Y(u)|
     p = pair(label)
     y = [complex(a, imag * b) if imag else a
          for a, b in zip(rng.uniform(0.5, 2.0, p.n), rng.uniform(-1, 1, p.n))]
@@ -165,6 +169,22 @@ def test_periodicity_residual_is_relative(label, imag, ctx128, rng):
     residual = check_periodicity(traj, ctx128).records[0].residual
     oracle = float(_relative_periodicity_oracle(traj))
     assert 0 < oracle / 2 <= residual <= 2 * oracle, (label, residual, oracle)
+
+
+@pytest.mark.parametrize("label", ["A1,D32", "A1,T30"])
+def test_periodicity_sees_a_doubled_small_value(label, ctx128, rng):
+    # the smallest |Y| on these chains lies far below 1 (about 6e-28 on
+    # A1,D32), where a doubled value moves Y by less than tau_eq; read
+    # relative to |Y|, the mutant fails the gate the correct grid passes
+    p = pair(label)
+    traj = iterate(p, list(rng.uniform(0.5, 2.0, p.n)), 2 * p.period, ctx128)
+    assert check_periodicity(traj, ctx128).passed
+    key = min(((k, u) for k in range(p.n) for u in range(p.period + 1)), key=lambda key: abs(traj.values[key]))
+    small = traj.values[key]
+    assert abs(small) < ctx128.tau_eq, (label, small)
+    traj.values[key] = 2 * small
+    rep = check_periodicity(traj, ctx128)
+    assert not rep.passed and rep.records[0].residual > 0.25, (label, rep.records[0].residual_str)
 
 
 def test_periodicity_e8a1_passes_at_112_bits(rng):
@@ -239,10 +259,8 @@ def test_monomial_count_matches_central_charge(label, ctx128):
 
 def _eps_limit_signs(p, ctx):
     """Test oracle: with every seed eps in {1e-4, 1e-6, 1e-8}, |Y_k(u)| shrinks
-    (+1) or grows (-1) monotonically; None if neither.  tau_res is lowered so
-    that the tiny values eps**deg are not taken for degeneracies."""
-    limit_ctx = replace(ctx, tau_res=1e-300)
-    trajs = [iterate(p, [e] * p.n, p.period - 1, limit_ctx) for e in (1e-4, 1e-6, 1e-8)]
+    (+1) or grows (-1) monotonically; None if neither."""
+    trajs = [iterate(p, [e] * p.n, p.period - 1, ctx) for e in (1e-4, 1e-6, 1e-8)]
     signs = {}
     for (k, u) in p.S_plus():
         a, b, c = (abs(t.values[(k, u)]) for t in trajs)
@@ -317,18 +335,31 @@ def test_periodicity_exact_rational_seeds():
         assert levels[p.period - 1] == levels[-1] and levels[p.period] == levels[0], label
 
 
+DEEP_SEEDS = {
+    "A1,T2": [1e-8, 1e-8],
+    "A2,A1": [1e-20, 1e-20],
+    "E6,A1": [1e25, 3e-22, 7.0, 0.125, 1e-3, 2.0 ** 60],
+}
+
+
 def test_escalation_on_extreme_magnitudes():
-    # deep-epsilon seeds push |Y| below 1e-30 (A1,T2 reaches 1e-32) or past
-    # 1e30 (A2,A1 reaches 1e40), forcing the 256-bit re-run of the whole
-    # grid: every value is then the one a 256-bit context computes
-    ctx = replace(adet.DEFAULT_CONTEXT, tau_res=1e-300)
-    ctx_hi = replace(ctx, mantissa_bits=256)
-    for label, eps in (("A1,T2", 1e-8), ("A2,A1", 1e-20)):
+    # no magnitude escalates the precision: deep-epsilon seeds push |Y| far
+    # from 1 (A1,T2 reaches 1e-32, A2,A1 1e40), and the grid still runs at
+    # the context's bits, passes the relative gate and agrees with a 512-bit
+    # grid to its own precision.  Seeds below the default tau_res need it lowered.
+    for bits, (label, y) in itertools.product((128, 256), DEEP_SEEDS.items()):
+        ctx = adet.PrecisionContext(mantissa_bits=bits, tau_res=1e-300)
         p = pair(label)
-        traj = iterate(p, [eps] * p.n, p.period - 1, ctx)
-        assert traj.precision_bits == 256, label
-        direct = iterate(p, [eps] * p.n, p.period - 1, ctx_hi)
-        assert traj.values == direct.values, label
+        traj = iterate(p, y, 2 * p.period, ctx)
+        assert traj.precision_bits == bits, label
+        mags = [abs(v) for v in traj.values.values()]
+        assert max(mags) > 1e30 or min(mags) < 1e-30, label
+        rep = check_periodicity(traj, ctx)
+        assert rep.passed and rep.records[0].residual < 2.0 ** (20 - bits), (label, rep.records[0].residual_str)
+        wide = iterate(p, y, 2 * p.period, replace(ctx, mantissa_bits=512))
+        with mp.workprec(bits):
+            worst = max(abs(v / wide.values[key] - 1) for key, v in traj.values.items())
+        assert worst < 2.0 ** (20 - bits), (label, worst)
 
 
 def _next_level_per_neighbour(pair, prev, cur, ks, ar, u):
@@ -347,21 +378,15 @@ def _next_level_per_neighbour(pair, prev, cur, ks, ar, u):
             num = fm if num is None else ar.mul(num, fm)
         den = None
         for j, m in downs:
-            yv = cur[j]
-            if ar.small(yv):
-                raise DegenerateStep("Y vanished where its inverse is needed", index=pair.indices[j], u=u)
-            f = ar.one_plus(ar.recip(yv))
+            f = ar.one_plus(ar.recip(cur[j]))
             if ar.small(f):
                 raise DegenerateStep("factor 1+1/Y vanished", index=pair.indices[j], u=u)
             fm = f if m == 1 else ar.pow(f, m)
             den = fm if den is None else ar.mul(den, fm)
-        pv = prev[k]
-        if ar.small(pv):
-            raise DegenerateStep("Y(u-1) vanished", index=pair.indices[k], u=u)
         val = num if num is not None else 1
         if den is not None:
             val = ar.div(val, den)
-        out[k] = ar.div(val, pv)
+        out[k] = ar.div(val, prev[k])
     return out
 
 
@@ -494,22 +519,22 @@ def test_kernel_property_sees_half_up(monkeypatch):
     assert len(_kernel_mismatches(144)) > 50
 
 
-# (pair, seed vector, u_max, tau_res, escalates).  No unperturbed pair has an
+# (pair, seed vector, u_max, tau_res).  No unperturbed pair has an
 # exponent above 1 (A1,T2's loop is I_22 = 1), so in the bumped A3,A1 the
 # factor 1 + Y_1 enters Y_0 squared and Y_2 once; A1,T2 has the tadpole
-# loop, the complex seeds take the mpc table, and the deep-epsilon A2,A1 grid
-# escalates
+# loop, the complex seeds take the mpc table, and the deep-epsilon A2,A1
+# grid reaches |Y| = 1e40 at the context's bits
 ORACLE_CASES = {
-    "A3,A1": (pair("A3,A1"), [0.7, 1.3, 1.9], None, 1e-20, False),
-    "E6,A1": (pair("E6,A1"), [0.6, 1.1, 1.7, 0.9, 1.4, 0.8], None, 1e-20, False),
-    "A1,T2": (pair("A1,T2"), [1.2, 0.55], None, 1e-20, False),
-    "A3,A1 bumped": (perturbed_pair(pair("A3,A1"), "x", 0, 1), [0.8, 1.7, 1.2], None, 1e-20, False),
+    "A3,A1": (pair("A3,A1"), [0.7, 1.3, 1.9], None, 1e-20),
+    "E6,A1": (pair("E6,A1"), [0.6, 1.1, 1.7, 0.9, 1.4, 0.8], None, 1e-20),
+    "A1,T2": (pair("A1,T2"), [1.2, 0.55], None, 1e-20),
+    "A3,A1 bumped": (perturbed_pair(pair("A3,A1"), "x", 0, 1), [0.8, 1.7, 1.2], None, 1e-20),
     "A2,A2 complex": (pair("A2,A2"), [complex(0.8, 0.1), complex(1.5, -0.05), complex(1.1, 0.07),
-                                      complex(0.6, -0.1)], None, 1e-20, False),
+                                      complex(0.6, -0.1)], None, 1e-20),
     "E6,A1 complex": (pair("E6,A1"), [complex(0.6, 0.08), complex(1.1, -0.02), complex(1.7, 0.05),
                                       complex(0.9, -0.09), complex(1.4, 0.01), complex(0.8, -0.06)],
-                      None, 1e-20, False),
-    "A2,A1 escalating": (pair("A2,A1"), [1e-20, 1e-20], 9, 1e-300, True),
+                      None, 1e-20),
+    "A2,A1 escalating": (pair("A2,A1"), [1e-20, 1e-20], 9, 1e-300),
 }
 
 
@@ -518,27 +543,28 @@ ORACLE_CASES = {
 def test_factor_cache_matches_per_neighbour_step(case, bits, monkeypatch):
     # the libmp table with each factor formed once per level changes no
     # value: iterate is bit for bit the trajectory of the per-neighbour step
-    # on mp objects, escalation included
-    p, y, u_max, tau_res, escalates = ORACLE_CASES[case]
+    # on mp objects
+    p, y, u_max, tau_res = ORACLE_CASES[case]
     ctx = adet.PrecisionContext(mantissa_bits=bits, tau_res=tau_res)
     u_max = 2 * p.period if u_max is None else u_max
     traj = iterate(p, y, u_max, ctx)
     _reference_path(monkeypatch)
     ref = iterate(p, y, u_max, ctx)
-    assert traj.precision_bits == ref.precision_bits == (256 if escalates else bits)
+    assert traj.precision_bits == ref.precision_bits == bits
     assert _bits(traj.values) == _bits(ref.values)
 
 
 # sha256 of `_trajectory_digest`, recorded when every all-mpf grid ran
 # through libmp's mpf_add, mpf_mul, mpf_div and mpf_rdiv_int, at the roots
-# the mp polish reaches from the float Newton start of `solve_positive`
-TRAJECTORY_DIGEST = "57e29f5da9599ef7f0b42129d889ef828330ac25efe0c65b0ae3c3bf99af8f1f"
+# the mp polish reaches from the float Newton start of `solve_positive`, and
+# every grid, the deep-epsilon ones too, ran at its context's bits
+TRAJECTORY_DIGEST = "89ff0dcdfac80cbdb77b09707e2628e735caa5ca7c873612d74236fb00bbf0d8"
 
 
 def _trajectory_digest() -> str:
     """sha256 over the raw tuples of `iterate` on every pair with rank
     product <= 8 at 128 and 256 bits (seeds in [0.5, 2], two periods), on
-    negative and mixed-sign seeds, a squared factor, three escalating grids,
+    negative and mixed-sign seeds, a squared factor, three deep-epsilon grids,
     and of `constant_residual` at three polished positive roots."""
     h = hashlib.sha256()
     rng = np.random.default_rng(2811)
@@ -549,9 +575,9 @@ def _trajectory_digest() -> str:
     cases += [(pair("A3,A2"), list(rng.uniform(-2.0, -0.5, 6)), ctxs[0]),
               (pair("D4,A1"), list(rng.uniform(-1.5, 1.5, 4)), ctxs[1]),
               (perturbed_pair(pair("A3,A1"), "x", 0, 1), [0.8, 1.7, 1.2], ctxs[0]),
-              (pair("A2,A1"), [1e-20, 1e-20], deep),
-              (pair("A1,T2"), [1e-8, 1e-8], deep),
-              (pair("E6,A1"), [1e25, 3e-22, 7.0, 0.125, 1e-3, 2.0 ** 60], deep)]
+              (pair("A2,A1"), DEEP_SEEDS["A2,A1"], deep),
+              (pair("A1,T2"), DEEP_SEEDS["A1,T2"], deep),
+              (pair("E6,A1"), DEEP_SEEDS["E6,A1"], deep)]
     for p, y, ctx in cases:
         traj = iterate(p, y, 2 * p.period, ctx)
         for key in sorted(traj.values):
@@ -600,7 +626,7 @@ def test_oracle_sees_a_rounding_mutant(case, kind, monkeypatch):
     # the comparison is not vacuous: a division rounding down instead of to
     # nearest, on the binary kernel (mpf) or through libmp (mpc), moves the
     # trajectory off the reference
-    p, y, _, tau_res, _ = ORACLE_CASES[case]
+    p, y, _, tau_res = ORACLE_CASES[case]
     ctx = adet.PrecisionContext(mantissa_bits=128, tau_res=tau_res)
     if kind is mp.mpf:
         monkeypatch.setattr(adet.ysystem, "_binary", _truncating_binary)
@@ -614,21 +640,20 @@ def test_oracle_sees_a_rounding_mutant(case, kind, monkeypatch):
 @pytest.mark.parametrize("bits", [128, 256])
 def test_wide_seeds_match_per_neighbour_step(bits, monkeypatch):
     # a 200-bit int seed, read exactly, and a 400-bit mpf seed enter the
-    # first steps wider than the working precision (|Y| spans 2^+-200, so
-    # tau_res is lowered); a polished root 32 bits wider than
-    # constant_residual's precision does the same
+    # first steps wider than the working precision (|Y| spans 2^+-200); a
+    # polished root 32 bits wider than constant_residual's precision does
+    # the same
     p = pair("A2,A3")
     ctx = adet.PrecisionContext(mantissa_bits=bits)
-    deep = replace(ctx, tau_res=1e-300)
     with mp.workprec(400):
         y = [2 ** 200 + 1, mp.sqrt(2), mp.sqrt(3) / 5, mp.mpf(1) / 3, mp.sqrt(5) - 1, mp.pi / 4]
     root = [v.real for v in adet.solve_positive(p, ctx).y]
     assert min(v._mpf_[3] for v in root) > bits + GUARD_BITS
-    traj = iterate(p, y, 2 * p.period, deep)
+    traj = iterate(p, y, 2 * p.period, ctx)
     residual = constant_residual(p, root, ctx)
     assert traj.value(0, 0)._mpf_ == libmp.from_int(2 ** 200 + 1) and traj.value(1, 0)._mpf_[3] > 256
     _reference_path(monkeypatch)
-    assert _bits(traj.values) == _bits(iterate(p, y, 2 * p.period, deep).values)
+    assert _bits(traj.values) == _bits(iterate(p, y, 2 * p.period, ctx).values)
     assert residual._mpf_ == constant_residual(p, root, ctx)._mpf_
 
 
@@ -691,34 +716,32 @@ def _raised(step, p, prev, cur, ar, wrap, u):
 
 @pytest.mark.parametrize("label", ["A3,A1", "A1,A3", "A2,A2", "A1,T2", "D4,A1"])
 def test_degenerate_step_same_as_per_neighbour(label, ctx128):
-    # over every level with components in {-1, 0, 1/2, 2} (and a zero or a
-    # one in Y(u-1)), the step on the libmp table raises the error the
-    # per-neighbour step on mp objects raises, with its message, index and
-    # u, or returns its values, for mpf and mpc levels
+    # over every level with components in {-1, 1/2, 2}, the step on the
+    # libmp table raises the error the per-neighbour step on mp objects
+    # raises, with its message, index and u, or returns its values, for mpf
+    # and mpc levels
     p = pair(label)
     with ctx128.workprec():
         tol = mp.mpf(ctx128.tau_res)
         ops = _operator_table(None, tol)[0]
         for kind in (mp.mpf, mp.mpc):
             ar, raw, wrap = _table([kind(1)], tol)
-            comps = [kind(-1), kind(0), kind(0.5), kind(2)]
+            comps = [kind(-1), kind(0.5), kind(2)]
+            prev = {k: kind(1) for k in range(p.n)}
             for cur in itertools.product(comps, repeat=p.n):
                 cur = dict(enumerate(cur))
-                for zero in range(-1, p.n):
-                    prev = {k: kind(0 if k == zero else 1) for k in range(p.n)}
-                    got = _raised(_next_level, p, {k: raw(v) for k, v in prev.items()},
-                                  {k: raw(v) for k, v in cur.items()}, ar, wrap, 3)
-                    ref = _raised(_next_level_per_neighbour, p, prev, cur, ops, lambda v: v, 3)
-                    assert got == ref, (label, kind, cur, zero)
+                got = _raised(_next_level, p, {k: raw(v) for k, v in prev.items()},
+                              {k: raw(v) for k, v in cur.items()}, ar, wrap, 3)
+                ref = _raised(_next_level_per_neighbour, p, prev, cur, ops, lambda v: v, 3)
+                assert got == ref, (label, kind, cur)
 
 
 def test_degenerate_shared_factor(ctx128):
     # the middle node of A3 feeds both ends: 1 + Y_1 = 0 (A3,A1) and
-    # 1 + 1/Y_1 = 0 or Y_1 = 0 (A1,A3) raise at the first index that reads it
+    # 1 + 1/Y_1 = 0 (A1,A3) raise at the first index that reads it
     cases = [
         ("A3,A1", -1.0, "factor 1+Y vanished"),
         ("A1,A3", -1.0, "factor 1+1/Y vanished"),
-        ("A1,A3", 0.0, "Y vanished where its inverse is needed"),
     ]
     for label, value, message in cases:
         p = pair(label)
@@ -728,47 +751,9 @@ def test_degenerate_shared_factor(ctx128):
         with pytest.raises(DegenerateStep) as exc:
             step(p, [1.0, 1.0, 1.0], [0.5, value, 2.0], ctx128)
         assert (str(exc.value), exc.value.index, exc.value.u) == (message, p.indices[1], 1)
-        if value:  # a zero seed is refused before any step
-            with pytest.raises(DegenerateStep) as exc:
-                iterate(p, [0.5, value, 2.0], 4, ctx128)
-            assert (str(exc.value), exc.value.index, exc.value.u) == (message, p.indices[1], 1)
-
-
-@pytest.mark.parametrize("label,y,u_max,bits,tau_res", [
-    ("A2,A1", [0.7, 1.6], 20, 128, 1e-20),
-    ("D4,A1", [0.55, 1.9, 1.2, 0.8], 24, 256, 1e-20),
-    ("A2,A2", [complex(0.8, 0.1), complex(1.5, -0.05), complex(1.1, 0.07), complex(0.6, -0.1)], 20, 128, 1e-20),
-    ("A2,A1", [1e-20, 1e-20], 9, 128, 1e-300),
-    ("A1,T1", [1e-16], 9, 128, 1e-300),
-])
-def test_peak_matches_naive_max(label, y, u_max, bits, tau_res):
-    # max(max |Y|, 1/min |Y|) is the naive max over max(|Y|, 1/|Y|), exactly
-    levels, peak = _run_grid(pair(label), y, u_max, bits, tau_res)
-    with mp.workprec(bits + GUARD_BITS):
-        assert peak == max(float(max(a, 1 / a)) for level in levels.values() for a in map(abs, level.values()))
-
-
-def test_peak_reads_moduli_across_binades():
-    # an mpc whose larger part lies a binade below another value's can still
-    # hold the extreme modulus: |0.9 + 0.9i| = 1.27 > 1, and 0.5 < |0.45 + 0.45i|
-    with mp.workprec(144):
-        for values in ([mp.mpc(0.9, 0.9), mp.mpc(1)], [mp.mpc(0.5), mp.mpc(0.45, 0.45)]):
-            mags = [abs(v) for v in values]
-            assert _peak(values) == max(float(max(mags)), float(1 / min(mags))), values
-
-
-def test_escalation_on_small_magnitudes_only():
-    # A1,T1 from y = 1e-16 spans 1e-32 <= |Y| <= 1e16 over a period: the
-    # values below 1e-30 alone trigger the 256-bit re-run
-    ctx = replace(adet.DEFAULT_CONTEXT, tau_res=1e-300)
-    p = pair("A1,T1")
-    levels, peak = _run_grid(p, [1e-16], p.period - 1, ctx.mantissa_bits, ctx.tau_res)
-    mags = [abs(v) for level in levels.values() for v in level.values()]
-    assert max(mags) < ESCALATION_THRESHOLD < 1 / min(mags)
-    assert peak > ESCALATION_THRESHOLD
-    traj = iterate(p, [1e-16], p.period - 1, ctx)
-    assert traj.precision_bits == 256
-    assert traj.values == iterate(p, [1e-16], p.period - 1, replace(ctx, mantissa_bits=256)).values
+        with pytest.raises(DegenerateStep) as exc:
+            iterate(p, [0.5, value, 2.0], 4, ctx128)
+        assert (str(exc.value), exc.value.index, exc.value.u) == (message, p.indices[1], 1)
 
 
 def test_constant_residual_values(ctx128):
